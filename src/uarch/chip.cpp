@@ -182,10 +182,13 @@ void Chip::refresh_rates() {
 
 void Chip::run_quantum() {
     refresh_rates();
+    // Core-outer: cores share no mutable state inside a quantum (rates were
+    // just refreshed, every task is bound to one slot, and the DRAM model
+    // only sums integer access counts at the end), so running each core
+    // through the whole quantum gives the same bits as interleaving cycles.
     std::uint64_t mem_accesses = 0;
     const std::uint64_t cycles = cfg_.cycles_per_quantum;
-    for (std::uint64_t c = 0; c < cycles; ++c)
-        for (auto& core : cores_) mem_accesses += core.tick();
+    for (auto& core : cores_) mem_accesses += core.run(cycles);
     memory_.end_quantum(mem_accesses, cycles);
     now_ += cycles;
     ++quanta_;

@@ -63,7 +63,9 @@ public:
     std::vector<apps::AppInstance*> bound_tasks() const;
 
     /// Runs one scheduling quantum (config().cycles_per_quantum cycles):
-    /// refreshes contention rates, ticks every core, updates the DRAM model.
+    /// refreshes contention rates, runs each core through the whole quantum
+    /// in turn (SmtCore::run; cores are independent within a quantum), then
+    /// updates the DRAM model from the summed memory accesses.
     void run_quantum();
 
     /// Cycles simulated so far.

@@ -251,4 +251,89 @@ std::uint64_t SmtCore::tick() noexcept {
     return dispatch_stage();
 }
 
+namespace {
+
+/// `v` after `k` saturating decrements (`if (v > 0) --v`).
+int saturating_sub(int v, std::uint64_t k) noexcept {
+    if (v <= 0) return v;
+    return static_cast<std::uint64_t>(v) <= k ? 0 : v - static_cast<int>(k);
+}
+
+}  // namespace
+
+std::uint64_t SmtCore::quiet_span(std::uint64_t limit) const noexcept {
+    // A bound thread is quiet while it can neither dispatch nor fetch.
+    //  * Dispatch: blocked for the remaining be_stall cycles of a backend
+    //    stall, and indefinitely while the fetch buffer is empty (it only
+    //    refills by fetching, which no thread does inside the span).
+    //  * Fetch: blocked indefinitely while the buffer is full, and while
+    //    fe_stall is still positive after tick()'s decrement, i.e. for
+    //    fe_stall - 1 cycles.
+    // An empty core is quiet for the whole limit.
+    std::uint64_t span = limit;
+    for (int s = 0; s < smt_ways(); ++s) {
+        const ThreadContext& t = slots_[static_cast<std::size_t>(s)];
+        if (!t.bound()) continue;
+        if (t.be_stall > 0)
+            span = std::min(span, static_cast<std::uint64_t>(t.be_stall));
+        else if (t.fetch_buffer != 0)
+            return 0;
+        if (t.fetch_buffer < cfg_->fetch_buffer_entries) {
+            if (t.fe_stall <= 1) return 0;
+            span = std::min(span, static_cast<std::uint64_t>(t.fe_stall - 1));
+        }
+    }
+    return span;
+}
+
+void SmtCore::skip_quiet(std::uint64_t k) noexcept {
+    // Exactly what k quiet tick()s do: timers count down, every bound
+    // thread books k stall cycles, the dispatch rotator advances k times
+    // and the fetch round-robin stays put (no thread was chosen).
+    icache_busy_ = saturating_sub(icache_busy_, k);
+    const int ways = smt_ways();
+    const double cap = 2.0 * static_cast<double>(cfg_->dispatch_width);
+    for (int s = 0; s < ways; ++s) {
+        ThreadContext& t = slots_[static_cast<std::size_t>(s)];
+        if (!t.bound()) continue;
+        pmu::CounterBank& counters = t.task()->counters();
+        counters.increment(Event::kCpuCycles, k);
+        t.fe_stall = saturating_sub(t.fe_stall, k);
+        if (t.be_stall > 0) {
+            counters.increment(Event::kStallBackend, k);
+            counters.increment(Event::kStallBackendRob, k);
+            t.be_stall -= static_cast<int>(k);
+            if (t.be_stall == 0) t.dram_stall = false;
+            continue;
+        }
+        // Empty fetch buffer: the credit still accrues every cycle.  It is a
+        // saturating floating-point add, so replay the adds one by one —
+        // k multiplied by the demand would round differently — and stop
+        // once the credit sits at the cap, where further adds are no-ops.
+        const double demand = t.rates.dispatch_demand;
+        double credit = t.dispatch_credit;
+        for (std::uint64_t c = 0; c < k && !(credit == cap && demand >= 0.0); ++c)
+            credit = std::min(credit + demand, cap);
+        t.dispatch_credit = credit;
+        counters.increment(Event::kStallFrontend, k);
+    }
+    const auto w = static_cast<std::uint64_t>(ways);
+    dispatch_pri_ = static_cast<int>((static_cast<std::uint64_t>(dispatch_pri_) + k % w) % w);
+}
+
+std::uint64_t SmtCore::run(std::uint64_t cycles) noexcept {
+    std::uint64_t mem_accesses = 0;
+    while (cycles > 0) {
+        const std::uint64_t quiet = quiet_span(cycles);
+        if (quiet > 0) {
+            skip_quiet(quiet);
+            cycles -= quiet;
+        } else {
+            mem_accesses += tick();
+            --cycles;
+        }
+    }
+    return mem_accesses;
+}
+
 }  // namespace synpa::uarch

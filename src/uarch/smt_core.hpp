@@ -2,6 +2,12 @@
 // arbitration, dispatch-slot sharing, and the stall accounting that feeds
 // the PMU.
 //
+// tick() is the single per-cycle step and the reference semantics.  run()
+// advances a whole span of cycles: it calls tick() on every cycle in which
+// some thread can fetch or dispatch, and applies each *quiet* span — every
+// bound thread blocked on both stages — in one step with exactly the effect
+// the same number of ticks would have (see quiet_span()).
+//
 // Contention is mechanistic, never scripted:
 //  * a single ICache fetch port rotates among threads that need it, and
 //    ICache miss service is serialized (the paper's §VI-A observation that
@@ -45,7 +51,16 @@ public:
     /// accesses (LLC misses) triggered this cycle, for the bandwidth model.
     std::uint64_t tick() noexcept;
 
+    /// Advances the core `cycles` cycles, bit-identical to calling tick()
+    /// that many times.  Returns the summed memory accesses.
+    std::uint64_t run(std::uint64_t cycles) noexcept;
+
 private:
+    /// Number of upcoming cycles (at most `limit`) in which no bound thread
+    /// can fetch or dispatch; 0 when the next cycle needs a real tick().
+    std::uint64_t quiet_span(std::uint64_t limit) const noexcept;
+    /// Applies `k` quiet cycles in one step; `k` must not exceed quiet_span().
+    void skip_quiet(std::uint64_t k) noexcept;
     void fetch_stage() noexcept;
     std::uint64_t dispatch_stage() noexcept;
     void trigger_frontend_event(ThreadContext& t) noexcept;

@@ -3,16 +3,24 @@
 // SMT slowdown, migration warmup, fetch-port contention).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdlib>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "apps/instance.hpp"
 #include "apps/spec_suite.hpp"
+#include "common/rng.hpp"
 #include "model/categories.hpp"
+#include "pmu/events.hpp"
 #include "uarch/cache.hpp"
 #include "uarch/chip.hpp"
 #include "uarch/memory.hpp"
 #include "uarch/platform.hpp"
 #include "uarch/sim_config.hpp"
+#include "uarch/smt_core.hpp"
 
 namespace {
 
@@ -301,6 +309,348 @@ TEST(Chip, QuantaAndCyclesAdvance) {
 TEST(Chip, TaskCountersThrowOnUnknown) {
     Chip chip(small_config());
     EXPECT_THROW(chip.task_counters(3), std::logic_error);
+}
+
+// Pinned SMT-1 and SMT-4 quanta.  The benchmark workloads only run SMT-2
+// cores, so these exact values (insts_retired, then every PMU event in
+// Event order, per task) guard the cycle loop at the other two widths.
+// They were captured from the cycle-by-cycle loop (every core ticked once
+// per cycle) before cores ran whole quanta with quiet-span skips.
+using PinnedTask = std::array<std::uint64_t, 1 + pmu::kEventCount>;
+
+std::vector<PinnedTask> run_pinned_chip(int ways) {
+    SimConfig cfg = small_config(2);
+    cfg.smt_ways = ways;
+    Chip chip(cfg);
+    // Frontend-bound (gobmk, leela_r) next to backend-bound (mcf, lbm_r);
+    // at SMT-4, core 0 leaves slot 2 empty.
+    struct Placement {
+        const char* app;
+        CpuSlot where;
+    };
+    const std::vector<Placement> plan =
+        ways == 1 ? std::vector<Placement>{{"gobmk", {0, 0}}, {"mcf", {1, 0}}}
+                  : std::vector<Placement>{{"gobmk", {0, 0}},
+                                           {"mcf", {0, 1}},
+                                           {"leela_r", {0, 3}},
+                                           {"lbm_r", {1, 0}}};
+    std::vector<std::unique_ptr<apps::AppInstance>> tasks;
+    for (const Placement& p : plan) {
+        const int id = static_cast<int>(tasks.size()) + 1;
+        tasks.push_back(std::make_unique<apps::AppInstance>(id, apps::find_app(p.app),
+                                                            static_cast<std::uint64_t>(40 + id)));
+        chip.bind(*tasks.back(), p.where);
+    }
+    for (int q = 0; q < 4; ++q) chip.run_quantum();
+
+    std::vector<PinnedTask> out;
+    for (const auto& t : tasks) {
+        PinnedTask row{};
+        row[0] = t->insts_retired();
+        for (std::size_t e = 0; e < pmu::kEventCount; ++e)
+            row[1 + e] = t->counters().value(static_cast<pmu::Event>(e));
+        out.push_back(row);
+    }
+    return out;
+}
+
+TEST(Chip, PinnedQuantaAtSmtOne) {
+    const std::vector<PinnedTask> expected = {
+        {18506, 20000, 19987, 10563, 2387, 18506, 219, 90, 43, 19, 520, 2387, 0, 0, 2387},
+        {16519, 20000, 16587, 225, 12314, 16519, 14, 490, 342, 198, 15, 12314, 0, 0, 12440},
+    };
+    EXPECT_EQ(run_pinned_chip(1), expected);
+}
+
+TEST(Chip, PinnedQuantaAtSmtFour) {
+    const std::vector<PinnedTask> expected = {
+        {11879, 20000, 12626, 10408, 5661, 11879, 244, 55, 40, 20, 312, 4995, 666, 0, 5007},
+        {11605, 20000, 11646, 601, 15249, 11605, 16, 308, 218, 136, 11, 14006, 1243, 0, 14054},
+        {13518, 20000, 14233, 12856, 2643, 13518, 300, 35, 21, 6, 351, 2166, 477, 0, 2166},
+        {16383, 20000, 16417, 153, 14019, 16383, 7, 477, 402, 297, 9, 14019, 0, 0, 14127},
+    };
+    EXPECT_EQ(run_pinned_chip(4), expected);
+}
+
+// ---------- core fast-forward: SmtCore::run against tick() ----------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// A one-core chip whose core runs `apps` (slot s gets apps[s]; "" leaves
+/// the slot empty) for one quantum, so its threads carry real
+/// contention-adjusted rates and mid-flight microstate.
+struct WarmCore {
+    std::vector<std::unique_ptr<apps::AppInstance>> tasks;
+    Chip chip;
+
+    WarmCore(int ways, const std::vector<std::string>& apps, std::uint64_t seed = 17)
+        : chip([ways] {
+              SimConfig cfg = small_config();
+              cfg.smt_ways = ways;
+              cfg.cycles_per_quantum = 3'000;
+              return cfg;
+          }()) {
+        for (int s = 0; s < ways; ++s) {
+            const std::string& app = apps.at(static_cast<std::size_t>(s));
+            if (app.empty()) continue;
+            tasks.push_back(std::make_unique<apps::AppInstance>(
+                s + 1, apps::find_app(app), seed + static_cast<std::uint64_t>(s)));
+            chip.bind(*tasks.back(), {.core = 0, .slot = s});
+        }
+        chip.run_quantum();
+    }
+
+    /// A copy of the core to tamper with (it points into this chip's config).
+    SmtCore core() const { return chip.core(0); }
+};
+
+/// A copy of a core that drives its own copies of the bound tasks.  A bare
+/// SmtCore copy would share its tasks — their RNG streams and counters —
+/// with the original, so two of them could not advance independently.
+struct CoreTwin {
+    SmtCore core;
+    std::vector<std::unique_ptr<apps::AppInstance>> tasks;
+
+    explicit CoreTwin(const SmtCore& src) : core(src) {
+        for (int s = 0; s < core.smt_ways(); ++s)
+            if (core.slot(s).bound()) adopt(s, *core.slot(s).task());
+    }
+
+    /// Binds a copy of `task` to slot `s`, keeping the slot's microstate
+    /// (bind() alone would clear it).
+    void adopt(int s, const apps::AppInstance& task) {
+        ThreadContext& t = core.slot(s);
+        const ThreadContext state = t;
+        tasks.push_back(std::make_unique<apps::AppInstance>(task));
+        t.bind(tasks.back().get());
+        t.fetch_buffer = state.fetch_buffer;
+        t.fe_stall = state.fe_stall;
+        t.be_stall = state.be_stall;
+        t.dram_stall = state.dram_stall;
+        t.insts_until_fe = state.insts_until_fe;
+        t.insts_until_be = state.insts_until_be;
+        t.dispatch_credit = state.dispatch_credit;
+        t.rates = state.rates;
+    }
+};
+
+void expect_same_state(const CoreTwin& a, const CoreTwin& b) {
+    for (int s = 0; s < a.core.smt_ways(); ++s) {
+        SCOPED_TRACE("slot " + std::to_string(s));
+        const ThreadContext& x = a.core.slot(s);
+        const ThreadContext& y = b.core.slot(s);
+        ASSERT_EQ(x.bound(), y.bound());
+        if (!x.bound()) continue;
+        EXPECT_EQ(x.fetch_buffer, y.fetch_buffer);
+        EXPECT_EQ(x.fe_stall, y.fe_stall);
+        EXPECT_EQ(x.be_stall, y.be_stall);
+        EXPECT_EQ(x.dram_stall, y.dram_stall);
+        EXPECT_EQ(x.insts_until_fe, y.insts_until_fe);
+        EXPECT_EQ(x.insts_until_be, y.insts_until_be);
+        EXPECT_EQ(bits(x.dispatch_credit), bits(y.dispatch_credit));
+        EXPECT_EQ(x.task()->insts_retired(), y.task()->insts_retired());
+        EXPECT_EQ(x.task()->phase_index(), y.task()->phase_index());
+        for (std::size_t e = 0; e < pmu::kEventCount; ++e) {
+            const auto ev = static_cast<pmu::Event>(e);
+            EXPECT_EQ(x.task()->counters().value(ev), y.task()->counters().value(ev))
+                << pmu::event_name(ev);
+        }
+    }
+}
+
+/// Advances one twin of `start` with run(cycles) and the other with that
+/// many tick()s and compares them; then ticks both `tail` more cycles and
+/// compares again.  The tail surfaces drift in what the comparison cannot
+/// see: the core's fetch round-robin, dispatch rotator and ICache miss
+/// port, and the tasks' RNG streams.
+void expect_run_matches_ticks(const SmtCore& start, std::uint64_t cycles,
+                              std::uint64_t tail = 4'000) {
+    CoreTwin fast(start);
+    CoreTwin slow(start);
+    std::uint64_t mem_fast = fast.core.run(cycles);
+    std::uint64_t mem_slow = 0;
+    for (std::uint64_t c = 0; c < cycles; ++c) mem_slow += slow.core.tick();
+    {
+        SCOPED_TRACE("after run(" + std::to_string(cycles) + ")");
+        EXPECT_EQ(mem_fast, mem_slow);
+        expect_same_state(fast, slow);
+    }
+    for (std::uint64_t c = 0; c < tail; ++c) {
+        mem_fast += fast.core.tick();
+        mem_slow += slow.core.tick();
+    }
+    SCOPED_TRACE("after the tick tail");
+    EXPECT_EQ(mem_fast, mem_slow);
+    expect_same_state(fast, slow);
+}
+
+TEST(CoreFastForward, MatchesTicksAtEveryWidth) {
+    const std::vector<std::string> mix = {"gobmk", "mcf", "leela_r", "lbm_r"};
+    for (const int ways : {1, 2, 4}) {
+        for (const std::uint64_t seed : {3u, 17u}) {
+            SCOPED_TRACE("ways " + std::to_string(ways) + " seed " + std::to_string(seed));
+            const WarmCore warm(ways, {mix.begin(), mix.begin() + ways}, seed);
+            expect_run_matches_ticks(warm.core(), 10'000);
+        }
+    }
+}
+
+TEST(CoreFastForward, EmptyCoreIsOneSpan) {
+    // Unbinding every thread leaves the hidden ICache port and rotators
+    // wherever the last tick put them; one quiet span must advance them as
+    // the ticks would, which the threads bound afterwards observe.
+    const WarmCore warm(4, {"gobmk", "leela_r", "gobmk", "mcf"});
+    SmtCore start = warm.core();
+    std::vector<ThreadContext> saved;
+    for (int s = 0; s < 4; ++s) {
+        saved.push_back(start.slot(s));
+        start.slot(s).unbind();
+    }
+    for (const std::uint64_t cycles : {1u, 7u, 37u, 3'001u}) {
+        SCOPED_TRACE("cycles " + std::to_string(cycles));
+        CoreTwin fast(start);
+        CoreTwin slow(start);
+        EXPECT_EQ(fast.core.run(cycles), 0u);
+        for (std::uint64_t c = 0; c < cycles; ++c) EXPECT_EQ(slow.core.tick(), 0u);
+        for (CoreTwin* twin : {&fast, &slow})
+            for (int s = 0; s < 4; ++s) {
+                twin->core.slot(s) = saved[static_cast<std::size_t>(s)];
+                twin->adopt(s, *saved[static_cast<std::size_t>(s)].task());
+            }
+        for (int c = 0; c < 4'000; ++c) {
+            fast.core.tick();
+            slow.core.tick();
+        }
+        expect_same_state(fast, slow);
+    }
+}
+
+TEST(CoreFastForward, UnboundMiddleSlot) {
+    const WarmCore three(4, {"gobmk", "", "mcf", "leela_r"});
+    expect_run_matches_ticks(three.core(), 10'000);
+    const WarmCore ends(4, {"lbm_r", "", "", "gobmk"});
+    expect_run_matches_ticks(ends.core(), 10'000);
+    const WarmCore pair(2, {"", "mcf"});
+    expect_run_matches_ticks(pair.core(), 10'000);
+}
+
+TEST(CoreFastForward, BackendStallWithFullFetchBuffer) {
+    const WarmCore warm(2, {"mcf", "lbm_r"});
+    SmtCore start = warm.core();
+    const int full = warm.chip.config().fetch_buffer_entries;
+    start.slot(0).be_stall = 300;
+    start.slot(0).dram_stall = true;
+    start.slot(0).fetch_buffer = full;
+    start.slot(1).be_stall = 180;
+    start.slot(1).dram_stall = false;
+    start.slot(1).fetch_buffer = full;
+    for (const std::uint64_t cycles : {180u, 181u, 300u, 1'000u}) {
+        SCOPED_TRACE("cycles " + std::to_string(cycles));
+        expect_run_matches_ticks(start, cycles);
+    }
+}
+
+TEST(CoreFastForward, FrontendStallCrossesCreditSaturation) {
+    // Empty buffers under frontend stalls: the dispatch credit keeps
+    // accruing.  Slot 0 saturates at 2 x width = 8 on its 21st add of the
+    // 44-cycle span (0.3 + 21 x 0.37 > 8); slot 1 adds 0.1 all the way,
+    // where a multiply instead of 44 adds would round differently.
+    const WarmCore warm(4, {"gobmk", "leela_r", "gobmk", "leela_r"});
+    SmtCore start = warm.core();
+    const struct {
+        int fe_stall;
+        double credit;
+        double demand;
+    } setup[] = {{45, 0.3, 0.37}, {60, 1.0, 0.1}, {80, 7.95, 3.0}, {50, 0.0, 2.6}};
+    for (int s = 0; s < 4; ++s) {
+        ThreadContext& t = start.slot(s);
+        t.fetch_buffer = 0;
+        t.be_stall = 0;
+        t.dram_stall = false;
+        t.fe_stall = setup[s].fe_stall;
+        t.dispatch_credit = setup[s].credit;
+        t.rates.dispatch_demand = setup[s].demand;
+    }
+    for (const std::uint64_t cycles : {20u, 44u, 45u, 500u}) {
+        SCOPED_TRACE("cycles " + std::to_string(cycles));
+        expect_run_matches_ticks(start, cycles);
+    }
+}
+
+TEST(CoreFastForward, IcacheMissPortOutlastsSpan) {
+    // Slots 0 and 2 miss the ICache on their next fetch (always served
+    // from the LLC), so the shared miss port queues up about 80 busy cycles; slot
+    // 1's 20-cycle backend stall ends every span long before the port
+    // frees.  The next misses' fe_stall reads the port's remaining time.
+    const WarmCore warm(4, {"gobmk", "mcf", "leela_r", ""});
+    SmtCore start = warm.core();
+    for (const int s : {0, 2}) {
+        ThreadContext& t = start.slot(s);
+        t.fetch_buffer = 0;
+        t.fe_stall = 0;
+        t.be_stall = 0;
+        t.insts_until_fe = 0;
+        t.rates.p_branch = 0.0;
+        t.rates.p_icache = 0.05;
+        t.rates.icache_l2_fraction = 0.0;
+    }
+    start.slot(1).be_stall = 20;
+    start.slot(1).fetch_buffer = warm.chip.config().fetch_buffer_entries;
+    for (const std::uint64_t cycles : {10u, 21u, 22u, 90u, 2'000u}) {
+        SCOPED_TRACE("cycles " + std::to_string(cycles));
+        expect_run_matches_ticks(start, cycles);
+    }
+}
+
+TEST(CoreFastForward, SpanCutAtQuantumEnd) {
+    // Both threads are stalled far past the end of the run: the span is
+    // clipped, and the stall must resume where the clip left it.
+    const WarmCore warm(2, {"mcf", "lbm_r"});
+    SmtCore start = warm.core();
+    for (int s = 0; s < 2; ++s) {
+        start.slot(s).be_stall = 5'000 + s;
+        start.slot(s).dram_stall = true;
+        start.slot(s).fetch_buffer = 3;
+    }
+    expect_run_matches_ticks(start, 700);
+    expect_run_matches_ticks(start, 4'999, 10);
+
+    // Chip quanta are spans cut at every boundary: two short quanta equal
+    // one core run of both.
+    CoreTwin chunked(start);
+    CoreTwin whole(start);
+    const std::uint64_t mem = chunked.core.run(1'234) + chunked.core.run(4'321);
+    EXPECT_EQ(mem, whole.core.run(5'555));
+    expect_same_state(chunked, whole);
+}
+
+TEST(CoreFastForward, RandomStates) {
+    // Random microstates over random mixes at every width: any state the
+    // fields can hold must fast-forward exactly as it ticks.
+    const std::vector<std::string> apps = {"gobmk", "mcf", "leela_r", "lbm_r", "nab_r", "milc"};
+    common::Rng rng(2024, 0xfa57);
+    for (const int ways : {1, 2, 4}) {
+        for (int trial = 0; trial < 30; ++trial) {
+            SCOPED_TRACE("ways " + std::to_string(ways) + " trial " + std::to_string(trial));
+            std::vector<std::string> mix;
+            for (int s = 0; s < ways; ++s)
+                mix.push_back(rng.below(5) == 0 ? "" : apps[rng.below(apps.size())]);
+            const WarmCore warm(ways, mix, rng.below(1'000));
+            SmtCore start = warm.core();
+            const int full = warm.chip.config().fetch_buffer_entries;
+            for (int s = 0; s < ways; ++s) {
+                ThreadContext& t = start.slot(s);
+                if (!t.bound()) continue;
+                const std::uint64_t fb = rng.below(3);
+                t.fetch_buffer = fb == 0 ? 0 : fb == 1 ? full : static_cast<int>(rng.below(full));
+                t.fe_stall = static_cast<int>(rng.below(60));
+                t.be_stall = rng.below(2) == 0 ? 0 : static_cast<int>(rng.below(400));
+                t.dram_stall = t.be_stall > 0 && rng.below(2) == 0;
+                t.dispatch_credit = rng.uniform(0.0, 8.0);
+            }
+            expect_run_matches_ticks(start, 1 + rng.below(3'000), 1'500);
+        }
+    }
 }
 
 }  // namespace

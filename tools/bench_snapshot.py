@@ -17,10 +17,17 @@ Usage:
                             [--regression-threshold 0.25]
 
 With --check, the freshly measured snapshot is compared against the committed
-baseline instead of overwriting it: any benchmark row whose items_per_second
-dropped by more than the threshold fails the run.  The comparison only applies
-when the host core count matches the baseline's (throughput on a different
-machine is not a regression signal); otherwise it prints a notice and exits 0.
+baseline instead of overwriting it, in two stages:
+  1. oracle_calls (GroupCost evaluations per solve) must match the baseline
+     exactly on every row that records it.  The count is a property of the
+     solver, not of the machine, so this stage runs on any host.
+  2. Any row whose items_per_second dropped by more than the threshold fails
+     the run.  This stage only applies when the host core count matches the
+     baseline's (throughput on a different machine is not a regression
+     signal); otherwise it prints a notice and skips it.
+
+Times are stored in nanoseconds (*_ns) whatever time unit a benchmark
+reports in (Google Benchmark's time_unit).
 
 Requires the benches to be built (cmake --build <build-dir>); exits non-zero
 with a hint if they are missing.
@@ -55,12 +62,25 @@ def run_bench(binary: str, min_time: float) -> dict:
     return json.loads(proc.stdout)
 
 
+_NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def time_ns(b: dict, key: str) -> float | None:
+    """A Google-Benchmark time field in nanoseconds.  The JSON reports times
+    in the benchmark's own time_unit (e.g. ->Unit(benchmark::kMillisecond)),
+    defaulting to ns."""
+    value = b.get(key)
+    if value is None:
+        return None
+    return value * _NS_PER_UNIT[b.get("time_unit", "ns")]
+
+
 def row_summary(b: dict) -> dict:
     """The fields worth diffing across snapshots, per benchmark row."""
     out = {
         "name": b["name"],
-        "real_time_ns": b.get("real_time"),
-        "cpu_time_ns": b.get("cpu_time"),
+        "real_time_ns": time_ns(b, "real_time"),
+        "cpu_time_ns": time_ns(b, "cpu_time"),
         "iterations": b.get("iterations"),
     }
     if "items_per_second" in b:
@@ -144,16 +164,50 @@ def cpu_model() -> str:
     return host_platform.processor() or "unknown"
 
 
+def matched_rows(snapshot: dict, baseline: dict):
+    """(fresh row, baseline row) pairs: same bench binary, same row name."""
+    for bench, entry in snapshot["benchmarks"].items():
+        base_rows = {
+            r["name"]: r
+            for r in baseline.get("benchmarks", {}).get(bench, {}).get("rows", [])
+        }
+        for row in entry["rows"]:
+            base = base_rows.get(row["name"])
+            if base:
+                yield row, base
+
+
 def check_against_baseline(snapshot: dict, baseline_path: str, threshold: float) -> int:
-    """Compare the fresh snapshot's throughput rows against the committed
-    baseline; return the exit code.  Skips (exit 0) with a notice when the
-    host shape differs from the machine that produced the baseline."""
+    """Compare the fresh snapshot against the committed baseline; return the
+    exit code.  Per-solve oracle_calls must match exactly on any host; the
+    throughput rows are skipped with a notice when the host shape differs
+    from the machine that produced the baseline."""
     try:
         with open(baseline_path) as f:
             baseline = json.load(f)
     except (OSError, json.JSONDecodeError) as err:
         sys.stderr.write(f"error: cannot read baseline {baseline_path}: {err}\n")
         return 1
+
+    # Host-independent counts first, so this stage can fail on any runner.
+    count_diffs = []
+    counted = 0
+    for row, base in matched_rows(snapshot, baseline):
+        if "oracle_calls" not in base:
+            continue
+        counted += 1
+        if row.get("oracle_calls") != base["oracle_calls"]:
+            count_diffs.append(
+                f"  {row['name']}: oracle_calls {base['oracle_calls']} -> "
+                f"{row.get('oracle_calls')}"
+            )
+    if count_diffs:
+        sys.stderr.write(
+            f"bench check FAILED: {len(count_diffs)} of {counted} rows changed their "
+            f"per-solve oracle_calls:\n" + "\n".join(count_diffs) + "\n"
+        )
+        return 1
+    print(f"bench check OK: {counted} oracle_calls rows match the baseline exactly")
 
     base_cores = baseline.get("host", {}).get("hardware_concurrency")
     here_cores = snapshot["host"]["hardware_concurrency"]
@@ -167,26 +221,18 @@ def check_against_baseline(snapshot: dict, baseline_path: str, threshold: float)
 
     regressions = []
     compared = 0
-    for bench, entry in snapshot["benchmarks"].items():
-        base_rows = {
-            r["name"]: r
-            for r in baseline.get("benchmarks", {}).get(bench, {}).get("rows", [])
-        }
-        for row in entry["rows"]:
-            base = base_rows.get(row["name"])
-            if not base:
-                continue
-            old = base.get("items_per_second")
-            new = row.get("items_per_second")
-            if not old or not new:
-                continue
-            compared += 1
-            ratio = new / old
-            if ratio < 1.0 - threshold:
-                regressions.append(
-                    f"  {row['name']}: {old:.3e} -> {new:.3e} items/s "
-                    f"({(1.0 - ratio) * 100:.0f}% slower)"
-                )
+    for row, base in matched_rows(snapshot, baseline):
+        old = base.get("items_per_second")
+        new = row.get("items_per_second")
+        if not old or not new:
+            continue
+        compared += 1
+        ratio = new / old
+        if ratio < 1.0 - threshold:
+            regressions.append(
+                f"  {row['name']}: {old:.3e} -> {new:.3e} items/s "
+                f"({(1.0 - ratio) * 100:.0f}% slower)"
+            )
 
     if regressions:
         sys.stderr.write(
