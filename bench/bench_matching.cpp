@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "matching/matching.hpp"
+#include "model/interference_model.hpp"
 
 namespace {
 
@@ -26,6 +27,35 @@ matching::WeightMatrix random_matrix(std::size_t n, std::uint64_t seed) {
 void BM_BlossomMinPerfect(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     const matching::WeightMatrix w = random_matrix(n, 42);
+    const matching::BlossomMatcher matcher;
+    for (auto _ : state) benchmark::DoNotOptimize(matcher.min_weight_perfect(w).total_weight);
+}
+
+// SYNPA-structured weights: Equation-1 pair costs (paper Table IV
+// coefficients) over random isolated category vectors.  Uniform random
+// weights let Blossom finish with few contractions; this cost surface
+// forms on the order of a thousand blossoms per n=128 solve, which is what
+// one fully loaded 64-core chip of the 512-context node pays each quantum.
+matching::WeightMatrix synpa_matrix(std::size_t n, std::uint64_t seed) {
+    const auto model = model::InterferenceModel::paper_table4();
+    common::Rng rng(seed, 0x5e9a);
+    std::vector<model::CategoryVector> cats(n);
+    for (auto& c : cats) {
+        double sum = 0.0;
+        for (double& x : c) sum += (x = rng.uniform(0.05, 1.0));
+        for (double& x : c) x /= sum;
+    }
+    matching::WeightMatrix w(n);
+    for (std::size_t u = 0; u < n; ++u)
+        for (std::size_t v = u + 1; v < n; ++v)
+            w.set(u, v, model.predict_slowdown(cats[u], cats[v]) +
+                            model.predict_slowdown(cats[v], cats[u]));
+    return w;
+}
+
+void BM_BlossomSynpaInstance(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const matching::WeightMatrix w = synpa_matrix(n, 3);
     const matching::BlossomMatcher matcher;
     for (auto _ : state) benchmark::DoNotOptimize(matcher.min_weight_perfect(w).total_weight);
 }
@@ -105,6 +135,8 @@ void BM_GroupingWarmArrival(benchmark::State& state) {
 // 8 = the paper's workloads (4 cores), 16/56 = one-socket scale-out,
 // 112 = every hardware thread of the CN9975.
 BENCHMARK(BM_BlossomMinPerfect)->Arg(8)->Arg(16)->Arg(56)->Arg(112);
+// 128 = one chip of the 512-context node (64 SMT-2 cores) at full load.
+BENCHMARK(BM_BlossomSynpaInstance)->Arg(128)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SubsetDpMinPerfect)->Arg(8)->Arg(16)->Arg(20);
 BENCHMARK(BM_BruteForceMinPerfect)->Arg(8)->Arg(10);
 // 128 = one fully loaded 32-core SMT-4 chip, 512 = the four-chip platform;

@@ -264,28 +264,51 @@ sched::CoreAllocation SynpaPolicy::reallocate(
     estimator_.observe(observations);
 
     const sched::TopologyView topo = sched::observed_topology(observations);
+    std::vector<ChipSolve> chips(static_cast<std::size_t>(topo.chips));
     if (topo.chips <= 1) {
-        sched::CoreAllocation alloc = allocate_chip(observations, 0);
-        trace_allocation(alloc);
-        publish_cache_metrics();
-        return alloc;
+        chips[0].observations = observations;
+    } else {
+        // Multi-chip Step 3 decomposes: pick each task's chip first —
+        // migrating across chips only when the estimator's predicted
+        // benefit beats the configured cross-chip cost — then run the
+        // single-chip selection per chip (interference never crosses a chip
+        // boundary; each chip has its own LLC and DRAM channel).
+        const sched::SoloCost solo = [&](std::size_t i) {
+            return solo_cost(observations[i].task_id);
+        };
+        const sched::PairCost pair = [&](std::size_t u, std::size_t v) {
+            return pair_cost(observations[u].task_id, observations[v].task_id);
+        };
+        std::vector<sched::ChipShare> shares = sched::split_across_chips(
+            observations, topo, solo, pair, opts_.cross_chip_penalty);
+        for (std::size_t c = 0; c < chips.size(); ++c) {
+            chips[c].local = std::move(shares[c].local);
+            chips[c].observations = chips[c].local;
+        }
     }
 
-    // Multi-chip Step 3 decomposes: pick each task's chip first — migrating
-    // across chips only when the estimator's predicted benefit beats the
-    // configured cross-chip cost — then run the single-chip selection per
-    // chip (interference never crosses a chip boundary; each chip has its
-    // own LLC and DRAM channel).
-    const sched::SoloCost solo = [&](std::size_t i) {
-        return solo_cost(observations[i].task_id);
-    };
-    const sched::PairCost pair = [&](std::size_t u, std::size_t v) {
-        return pair_cost(observations[u].task_id, observations[v].task_id);
-    };
-    sched::CoreAllocation alloc = sched::allocate_across_chips(
-        observations, topo, solo, pair, opts_.cross_chip_penalty,
-        [this](int chip, std::span<const sched::TaskObservation> local,
-               std::span<const std::size_t>) { return allocate_chip(local, chip); });
+    // Prepare in chip order — the WeightCache sees the same lookup and
+    // store sequence as one serial pass, so its contents and statistics
+    // do not depend on the fork — then solve the chips that still need a
+    // matching, forked over the driver's chip shards when two or more do,
+    // and place in chip order.
+    int pending = 0;
+    for (std::size_t c = 0; c < chips.size(); ++c) {
+        prepare_chip(chips[c], static_cast<int>(c));
+        pending += chips[c].decided ? 0 : 1;
+    }
+    const auto solve = [&chips, this](int c) { solve_chip(chips[static_cast<std::size_t>(c)]); };
+    if (pending >= 2 && chip_fork_) {
+        chip_fork_(topo.chips, solve);
+    } else {
+        for (int c = 0; c < topo.chips; ++c) solve(c);
+    }
+
+    std::vector<sched::CoreAllocation> per_chip;
+    per_chip.reserve(chips.size());
+    for (std::size_t c = 0; c < chips.size(); ++c)
+        per_chip.push_back(place_chip(chips[c], static_cast<int>(c)));
+    sched::CoreAllocation alloc = sched::concat_chip_allocations(per_chip, topo.cores_per_chip);
     trace_allocation(alloc);
     publish_cache_metrics();
     return alloc;
@@ -307,57 +330,57 @@ void SynpaPolicy::publish_cache_metrics() const {
     published_ = s;
 }
 
-sched::CoreAllocation SynpaPolicy::allocate_chip(
-    std::span<const sched::TaskObservation> observations, int chip) {
-    if (observations.empty()) return {};
-    if (!opts_.weight_cache || chip < 0) return allocate_chip_uncached(observations);
-    cache_.sync_model_epoch(estimator_.model_epoch());
+void SynpaPolicy::prepare_chip(ChipSolve& work, int chip) {
+    const std::span<const sched::TaskObservation> observations = work.observations;
+    if (observations.empty()) {
+        work.decided = true;
+        return;
+    }
+    if (opts_.weight_cache) {
+        cache_.sync_model_epoch(estimator_.model_epoch());
 
-    // Flatten everything the uncached solve reads into one key: per task
-    // its id, incumbent core, co-runner list and estimate epoch, plus the
-    // chip shape and the model epoch.  place_groups/place_pairs consume
-    // only task_id + core; the hysteresis path reads corunner_task_id; all
-    // costs are functions of (estimates, objective) and the estimate epochs
-    // name the estimate values exactly.  A key match therefore certifies
-    // the solver would reproduce the memoized allocation bit for bit.
-    const auto encode = [](int v) {
-        return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
-    };
-    std::vector<std::uint64_t> key;
-    key.reserve(4 + observations.size() * 6);
-    key.push_back(observations.size());
-    key.push_back(encode(sched::observed_smt_ways(observations)));
-    key.push_back(sched::observed_total_cores(observations));
-    key.push_back(estimator_.model_epoch());
-    for (const auto& o : observations) {
-        key.push_back(encode(o.task_id));
-        key.push_back(encode(o.core));
-        key.push_back(encode(o.corunner_task_id));
-        key.push_back(o.corunner_task_ids.size());
-        for (const int partner : o.corunner_task_ids) key.push_back(encode(partner));
-        key.push_back(estimator_.estimate_epoch(o.task_id));
+        // Flatten everything the solve reads into one key: per task its
+        // id, incumbent core, co-runner list and estimate epoch, plus the
+        // chip shape and the model epoch.  place_groups/place_pairs consume
+        // only task_id + core; the hysteresis path reads corunner_task_id;
+        // all costs are functions of (estimates, objective) and the
+        // estimate epochs name the estimate values exactly.  A key match
+        // therefore certifies the solver would reproduce the memoized
+        // allocation bit for bit.
+        const auto encode = [](int v) {
+            return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+        };
+        std::vector<std::uint64_t> key;
+        key.reserve(4 + observations.size() * 6);
+        key.push_back(observations.size());
+        key.push_back(encode(sched::observed_smt_ways(observations)));
+        key.push_back(sched::observed_total_cores(observations));
+        key.push_back(estimator_.model_epoch());
+        for (const auto& o : observations) {
+            key.push_back(encode(o.task_id));
+            key.push_back(encode(o.core));
+            key.push_back(encode(o.corunner_task_id));
+            key.push_back(o.corunner_task_ids.size());
+            for (const int partner : o.corunner_task_ids) key.push_back(encode(partner));
+            key.push_back(estimator_.estimate_epoch(o.task_id));
+        }
+
+        if (static_cast<std::size_t>(chip) >= solve_memo_.size())
+            solve_memo_.resize(static_cast<std::size_t>(chip) + 1);
+        const SolveMemo& memo = solve_memo_[static_cast<std::size_t>(chip)];
+        if (memo.valid && memo.key == key) {
+            ++cache_.stats().solve_reuse;
+            work.alloc = memo.alloc;
+            work.decided = true;
+            return;
+        }
+        work.memo_key = std::move(key);
     }
 
-    if (static_cast<std::size_t>(chip) >= solve_memo_.size())
-        solve_memo_.resize(static_cast<std::size_t>(chip) + 1);
-    SolveMemo& memo = solve_memo_[static_cast<std::size_t>(chip)];
-    if (memo.valid && memo.key == key) {
-        ++cache_.stats().solve_reuse;
-        return memo.alloc;
-    }
-    sched::CoreAllocation alloc = allocate_chip_uncached(observations);
-    memo.key = std::move(key);
-    memo.alloc = alloc;
-    memo.valid = true;
-    return alloc;
-}
-
-sched::CoreAllocation SynpaPolicy::allocate_chip_uncached(
-    std::span<const sched::TaskObservation> observations) {
-    if (observations.empty()) return {};
     const std::size_t n = observations.size();
     const std::size_t total_cores = sched::observed_total_cores(observations);
     const int width = sched::observed_smt_ways(observations);
+    work.total_cores = total_cores;
 
     // Width 1 (SMT disabled in BIOS): there is no grouping decision — every
     // task keeps a core of its own.
@@ -365,7 +388,9 @@ sched::CoreAllocation SynpaPolicy::allocate_chip_uncached(
         std::vector<sched::CoreGroup> entries;
         entries.reserve(n);
         for (const auto& o : observations) entries.push_back(sched::CoreGroup{o.task_id});
-        return sched::place_groups(entries, observations, total_cores);
+        work.alloc = sched::place_groups(entries, observations, total_cores);
+        work.decided = true;
+        return;
     }
 
     // Width > 2 (SMT-4): Step 2+3 become a k-way grouping — group costs are
@@ -373,7 +398,9 @@ sched::CoreAllocation SynpaPolicy::allocate_chip_uncached(
     // singletons score their "runs alone" weight), solved exactly for small
     // live sets and by deterministic local search beyond.  No hysteresis:
     // the width-2 near-tie oscillation this guards against is much rarer in
-    // the k-way cost surface, and place_groups still pins survivors.
+    // the k-way cost surface, and place_groups still pins survivors.  The
+    // grouping oracle queries the WeightCache, so it stays in this serial
+    // step.
     if (width > 2) {
         std::vector<int> ids;
         ids.reserve(n);
@@ -387,15 +414,17 @@ sched::CoreAllocation SynpaPolicy::allocate_chip_uncached(
             for (const int i : group) g.add(ids[static_cast<std::size_t>(i)]);
             entries.push_back(g);
         }
-        return sched::place_groups(entries, observations, total_cores);
+        work.alloc = sched::place_groups(entries, observations, total_cores);
+        work.decided = true;
+        return;
     }
 
     // Step 2: predicted combined slowdown for every candidate pair.
-    matching::WeightMatrix weights(n);
+    work.weights = matching::WeightMatrix(n);
     for (std::size_t u = 0; u < n; ++u)
         for (std::size_t v = u + 1; v < n; ++v)
-            weights.set(u, v, pair_cost(observations[u].task_id,
-                                        observations[v].task_id));
+            work.weights.set(u, v, pair_cost(observations[u].task_id,
+                                             observations[v].task_id));
 
     // Partial load (open system, N != 2 * cores): Step 3 becomes an
     // imperfect matching — the padded solver weighs every candidate pair's
@@ -404,48 +433,72 @@ sched::CoreAllocation SynpaPolicy::allocate_chip_uncached(
     // here: arrivals and departures churn the index space every few quanta
     // anyway, and place_groups still pins survivors to incumbent cores.
     if (n != 2 * total_cores) {
-        std::vector<double> solo(n);
+        work.partial = true;
+        work.solo.resize(n);
         for (std::size_t i = 0; i < n; ++i)
-            solo[i] = solo_cost(observations[i].task_id);
-        // The dummy-node reduction needs an exact solver (see matching.hpp);
-        // the greedy ablation falls back to Blossom under partial load.
-        const matching::Matcher& exact =
-            opts_.selector == PairSelector::kGreedy
-                ? static_cast<const matching::Matcher&>(blossom_)
-                : matcher();
-        const matching::PartialMatching sel =
-            matching::min_weight_partial(weights, solo, total_cores, exact);
-        std::vector<std::pair<int, int>> entries;
-        for (auto [u, v] : sel.pairs)
-            entries.emplace_back(observations[static_cast<std::size_t>(u)].task_id,
-                                 observations[static_cast<std::size_t>(v)].task_id);
-        for (int u : sel.singles)
-            entries.emplace_back(observations[static_cast<std::size_t>(u)].task_id,
-                                 sched::kNoTask);
-        return sched::place_groups(sched::groups_from_pairs(entries), observations,
-                                   total_cores);
+            work.solo[i] = solo_cost(observations[i].task_id);
+        return;
     }
 
     // Current pairing in index space, for hysteresis.
-    std::vector<std::pair<int, int>> current;
     common::FlatIdMap<std::size_t> index_of;
     for (std::size_t i = 0; i < n; ++i) index_of[observations[i].task_id] = i;
     for (std::size_t i = 0; i < n; ++i) {
         const int partner = observations[i].corunner_task_id;
         const std::size_t* it = partner >= 0 ? index_of.find(partner) : nullptr;
         if (it != nullptr && *it > i)
-            current.emplace_back(static_cast<int>(i), static_cast<int>(*it));
+            work.current.emplace_back(static_cast<int>(i), static_cast<int>(*it));
     }
+}
 
+void SynpaPolicy::solve_chip(ChipSolve& work) const {
+    if (work.decided) return;
+    if (work.partial) {
+        // The dummy-node reduction needs an exact solver (see matching.hpp);
+        // the greedy ablation falls back to Blossom under partial load.
+        const matching::Matcher& exact =
+            opts_.selector == PairSelector::kGreedy
+                ? static_cast<const matching::Matcher&>(blossom_)
+                : matcher();
+        matching::PartialMatching sel =
+            matching::min_weight_partial(work.weights, work.solo, work.total_cores, exact);
+        work.pairs = std::move(sel.pairs);
+        work.singles = std::move(sel.singles);
+        return;
+    }
     // Step 3: most synergistic perfect matching, with hysteresis against
-    // churn, placed to avoid migrations.
-    const matching::StabilizedSelection sel = matching::stabilized_min_weight(
-        weights, current, matcher(), opts_.stability_bias, opts_.keep_threshold);
-    std::vector<std::pair<int, int>> id_pairs;
-    for (auto [u, v] : sel.pairs)
-        id_pairs.emplace_back(observations[static_cast<std::size_t>(u)].task_id,
-                              observations[static_cast<std::size_t>(v)].task_id);
-    return sched::place_pairs(id_pairs, observations);
+    // churn.
+    matching::StabilizedSelection sel = matching::stabilized_min_weight(
+        work.weights, work.current, matcher(), opts_.stability_bias, opts_.keep_threshold);
+    work.pairs = std::move(sel.pairs);
+}
+
+sched::CoreAllocation SynpaPolicy::place_chip(ChipSolve& work, int chip) {
+    const std::span<const sched::TaskObservation> observations = work.observations;
+    const auto task_of = [&](int index) {
+        return observations[static_cast<std::size_t>(index)].task_id;
+    };
+    if (!work.decided) {
+        // Placed to avoid migrations: survivors keep their incumbent cores.
+        if (work.partial) {
+            std::vector<std::pair<int, int>> entries;
+            for (auto [u, v] : work.pairs) entries.emplace_back(task_of(u), task_of(v));
+            for (const int u : work.singles) entries.emplace_back(task_of(u), sched::kNoTask);
+            work.alloc = sched::place_groups(sched::groups_from_pairs(entries), observations,
+                                             work.total_cores);
+        } else {
+            std::vector<std::pair<int, int>> id_pairs;
+            for (auto [u, v] : work.pairs) id_pairs.emplace_back(task_of(u), task_of(v));
+            work.alloc = sched::place_pairs(id_pairs, observations);
+        }
+    }
+    if (!work.memo_key.empty()) {
+        SolveMemo& memo = solve_memo_[static_cast<std::size_t>(chip)];
+        memo.key = std::move(work.memo_key);
+        memo.alloc = work.alloc;
+        memo.valid = true;
+    }
+    return std::move(work.alloc);
 }
 
 void SynpaPolicy::on_task_replaced(int old_task_id, int new_task_id) {

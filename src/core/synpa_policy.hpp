@@ -18,6 +18,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/estimator.hpp"
@@ -100,6 +102,7 @@ public:
     void on_task_replaced(int old_task_id, int new_task_id) override;
     void on_task_finished(int task_id) override;
     void set_tracer(obs::Tracer* tracer) override;
+    void set_chip_fork(const sched::ChipFork& fork) override { chip_fork_ = fork; }
 
     const SynpaEstimator& estimator() const noexcept { return estimator_; }
 
@@ -138,16 +141,43 @@ public:
     const matching::Matcher& matcher() const;
 
 private:
-    /// Steps 2+3 on one chip's (possibly chip-localized) observations; the
-    /// estimator was already refreshed for the quantum.  `chip` is the
-    /// stable chip ordinal indexing the per-chip solve memo (0 on a
-    /// single-chip platform); when the cache is on and nothing the solve
-    /// depends on moved since the chip's last solve, the memoized
-    /// allocation is returned without rebuilding weights or re-solving.
-    sched::CoreAllocation allocate_chip(
-        std::span<const sched::TaskObservation> observations, int chip);
-    sched::CoreAllocation allocate_chip_uncached(
-        std::span<const sched::TaskObservation> observations);
+    /// One chip's Steps 2+3, carried through reallocate's three steps:
+    /// prepare_chip (serial, chip order) reads the estimator and the
+    /// WeightCache, neither of which is thread-safe; solve_chip (forked
+    /// over the chip fork) is a pure function of the prepared inputs and
+    /// the const matcher; place_chip (serial, chip order) places the
+    /// solve and stores the chip's memo.
+    struct ChipSolve {
+        /// The chip's (possibly chip-localized) observations; `local` owns
+        /// them on a multi-chip platform.
+        std::span<const sched::TaskObservation> observations;
+        std::vector<sched::TaskObservation> local;
+        /// Solve-memo key to store in place_chip (empty: nothing to store).
+        std::vector<std::uint64_t> memo_key;
+        /// Set when prepare already produced `alloc` (memo hit, empty chip,
+        /// width 1, or the SMT-4 grouping, whose oracle reads the cache).
+        bool decided = false;
+        sched::CoreAllocation alloc;
+        /// Pair-solve inputs: Step-2 weights plus, under partial load
+        /// (n != 2 * cores), the solo terms — otherwise the incumbent
+        /// pairing the hysteresis solve weighs against.
+        std::size_t total_cores = 0;
+        bool partial = false;
+        matching::WeightMatrix weights;
+        std::vector<double> solo;
+        std::vector<std::pair<int, int>> current;
+        /// Solve output in observation-index space.
+        std::vector<std::pair<int, int>> pairs;
+        std::vector<int> singles;
+    };
+
+    /// `chip` is the stable chip ordinal indexing the per-chip solve memo
+    /// (0 on a single-chip platform); when the cache is on and nothing the
+    /// solve depends on moved since the chip's last solve, the memoized
+    /// allocation is taken without rebuilding weights or re-solving.
+    void prepare_chip(ChipSolve& work, int chip);
+    void solve_chip(ChipSolve& work) const;
+    sched::CoreAllocation place_chip(ChipSolve& work, int chip);
 
     /// Emits a kAllocation event for the decided grouping (group membership
     /// and the predicted per-group costs).  The extra estimator passes run
@@ -172,7 +202,7 @@ private:
     double solo_cost_uncached(int task_id) const;
     double group_cost_uncached(std::span<const int> task_ids) const;
 
-    /// One chip's memoized solve: the key flattens every allocate_chip
+    /// One chip's memoized solve: the key flattens every per-chip solve
     /// input (task ids, incumbent cores, co-runner lists, estimate
     /// epochs, width, core count, model epoch), so a key match certifies
     /// the uncached solve would reproduce `alloc` bit for bit.
@@ -188,6 +218,7 @@ private:
     matching::BlossomMatcher blossom_;
     matching::SubsetDpMatcher subset_dp_;
     obs::Tracer* tracer_ = nullptr;  ///< flight recorder (not owned)
+    sched::ChipFork chip_fork_;      ///< driver's chip shards; empty = serial
     mutable WeightCache cache_;      ///< bit-exact memo; mutable: caching is
                                      ///< invisible to logical const-ness
     mutable std::vector<double> slowdown_scratch_;  ///< member_slowdowns reuse

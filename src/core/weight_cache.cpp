@@ -24,7 +24,7 @@ const double* WeightCache::find_pair(int u, std::uint64_t eu, int v, std::uint64
         std::swap(eu, ev);
     }
     const common::FlatIdMap<PairEntry>* row = pair_.find(u);
-    const PairEntry* e = row != nullptr ? row->find(v) : nullptr;
+    const PairEntry* e = row != nullptr ? row->find(v - u) : nullptr;
     if (e != nullptr && e->lo_epoch == eu && e->hi_epoch == ev) {
         ++stats_.hits;
         return &e->cost;
@@ -39,7 +39,8 @@ void WeightCache::store_pair(int u, std::uint64_t eu, int v, std::uint64_t ev,
         std::swap(u, v);
         std::swap(eu, ev);
     }
-    pair_[u].insert_or_assign(v, PairEntry{.lo_epoch = eu, .hi_epoch = ev, .cost = cost});
+    pair_[u].insert_or_assign(v - u,
+                              PairEntry{.lo_epoch = eu, .hi_epoch = ev, .cost = cost});
 }
 
 const double* WeightCache::find_group(const GroupKey& key, std::size_t size,

@@ -14,11 +14,15 @@
 //
 // Determinism contract: lookups never change results, only skip work; the
 // group store is a std::map (ordered, DET-01-clean) with a deterministic
-// size cap.  Memory: solo entries and pair rows are FlatIdMap-backed and
-// grow to the largest task id seen (pair rows are dropped via forget()
-// when a task retires; entries under a *lower* surviving id become
-// unreachable garbage, bounded by the same id-density argument as
-// common::FlatIdMap itself).
+// size cap.  Memory: solo entries and the row table are FlatIdMap-backed
+// and grow to the largest task id seen.  A pair row under the lower id u
+// is indexed by the id gap v - u, so it grows only to the widest gap
+// between co-resident tasks rather than to the largest id: drivers hand
+// out ids in admission order, so long open runs (ids in the tens of
+// thousands) keep rows short.  Rows are dropped via forget() when a task
+// retires; entries under a *lower* surviving id become unreachable
+// garbage, bounded by the same id-density argument as common::FlatIdMap
+// itself.
 #pragma once
 
 #include <array>
@@ -99,7 +103,7 @@ private:
     };
 
     common::FlatIdMap<SoloEntry> solo_;
-    /// Row per lower member id; column = higher member id.
+    /// Row per lower member id u; column = id gap v - u of the higher one.
     common::FlatIdMap<common::FlatIdMap<PairEntry>> pair_;
     std::map<GroupKey, GroupEntry> group_;
     Stats stats_;

@@ -9,12 +9,24 @@
 
 namespace synpa::fleet {
 
+namespace {
+
+std::unique_ptr<sched::AllocationPolicy> require_policy(
+    std::unique_ptr<sched::AllocationPolicy> policy) {
+    if (policy == nullptr)
+        throw std::invalid_argument("FleetNode: node policy must not be null");
+    return policy;
+}
+
+}  // namespace
+
 FleetNode::FleetNode(int id, const uarch::SimConfig& cfg,
                      std::unique_ptr<sched::AllocationPolicy> policy,
                      std::shared_ptr<const model::InterferenceModel> scoring_model)
-    : id_(id), platform_(cfg), policy_(std::move(policy)) {
-    if (policy_ == nullptr)
-        throw std::invalid_argument("FleetNode: node policy must not be null");
+    : id_(id),
+      platform_(cfg),
+      policy_(require_policy(std::move(policy))),
+      chip_fork_(*policy_, platform_) {
     if (scoring_model != nullptr) estimator_.emplace(*scoring_model);
 }
 

@@ -21,6 +21,7 @@
 #include "core/estimator.hpp"
 #include "fleet/work_item.hpp"
 #include "sched/policy.hpp"
+#include "sched/quantum_loop.hpp"
 #include "uarch/platform.hpp"
 
 namespace synpa::fleet {
@@ -111,6 +112,9 @@ private:
     int id_;
     uarch::Platform platform_;
     std::unique_ptr<sched::AllocationPolicy> policy_;
+    /// Lends platform_'s chip shards to policy_ for the node's lifetime;
+    /// declared after both so it detaches before either is destroyed.
+    sched::ChipForkGuard chip_fork_;
     std::optional<core::SynpaEstimator> estimator_;
     std::vector<Resident> residents_;  ///< residency order (stable slot order)
 };

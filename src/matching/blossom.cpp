@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -29,27 +28,37 @@ using i64 = std::int64_t;
 
 /// Dense maximum-weight matching on vertices 1..n with integer weights.
 /// Weight 0 means "no edge".  Vertices above n are contracted blossoms.
+///
+/// Storage is flat and row-major: g(u, v) is the edge from u into v, and
+/// g(v, u) always holds the same edge with its endpoints swapped (an
+/// invariant set_weight establishes and add_blossom keeps), so every scan
+/// can walk a contiguous row.  A live edge's weight equals that of the
+/// original edge it names, which lets edge_slack read it off the edge
+/// itself.
 class DenseBlossom {
 public:
-    explicit DenseBlossom(int n) : n_(n), n_x_(n) {
+    explicit DenseBlossom(int n)
+        : n_(n), n_x_(n), cap_(static_cast<std::size_t>(2 * n + 1)) {
         const int cap = 2 * n_ + 1;
-        g_.assign(cap, std::vector<Edge>(cap));
+        g_.resize(cap_ * cap_);
         for (int u = 0; u < cap; ++u)
-            for (int v = 0; v < cap; ++v) g_[u][v] = Edge{u, v, 0};
-        lab_.assign(cap, 0);
-        match_.assign(cap, 0);
-        slack_.assign(cap, 0);
-        st_.assign(cap, 0);
-        pa_.assign(cap, 0);
-        S_.assign(cap, -1);
-        vis_.assign(cap, 0);
-        flower_.assign(cap, {});
-        flower_from_.assign(cap, std::vector<int>(n_ + 1, 0));
+            for (int v = 0; v < cap; ++v) g(u, v) = Edge{u, v, 0};
+        lab_.assign(cap_, 0);
+        match_.assign(cap_, 0);
+        slack_.assign(cap_, 0);
+        slack_edge_.assign(cap_, Edge{});
+        st_.assign(cap_, 0);
+        pa_.assign(cap_, 0);
+        S_.assign(cap_, -1);
+        vis_.assign(cap_, 0);
+        flower_.assign(cap_, {});
+        flower_from_.assign(cap_ * static_cast<std::size_t>(n_ + 1), 0);
+        queue_.reserve(cap_);
     }
 
     void set_weight(int u, int v, i64 w) {
-        g_[u][v].w = w;
-        g_[v][u].w = w;
+        g(u, v).w = w;
+        g(v, u).w = w;
     }
 
     /// Runs the algorithm; afterwards mate(u) is u's partner or 0.
@@ -61,8 +70,8 @@ public:
         i64 w_max = 0;
         for (int u = 1; u <= n_; ++u)
             for (int v = 1; v <= n_; ++v) {
-                flower_from_[u][v] = (u == v ? u : 0);
-                w_max = std::max(w_max, g_[u][v].w);
+                flower_from(u, v) = (u == v ? u : 0);
+                w_max = std::max(w_max, g(u, v).w);
             }
         for (int u = 1; u <= n_; ++u) lab_[u] = w_max;
         while (grow_and_augment()) {
@@ -77,17 +86,34 @@ private:
         i64 w = 0;
     };
 
-    /// Reduced cost of an edge: zero means "tight", usable by the forest.
-    i64 edge_slack(const Edge& e) const { return lab_[e.u] + lab_[e.v] - g_[e.u][e.v].w * 2; }
-
-    void update_slack(int u, int x) {
-        if (slack_[x] == 0 || edge_slack(g_[u][x]) < edge_slack(g_[slack_[x]][x])) slack_[x] = u;
+    Edge& g(int u, int v) {
+        return g_[static_cast<std::size_t>(u) * cap_ + static_cast<std::size_t>(v)];
+    }
+    int& flower_from(int b, int x) {
+        return flower_from_[static_cast<std::size_t>(b) * static_cast<std::size_t>(n_ + 1) +
+                            static_cast<std::size_t>(x)];
     }
 
+    /// Reduced cost of an edge: zero means "tight", usable by the forest.
+    i64 edge_slack(const Edge& e) const { return lab_[e.u] + lab_[e.v] - e.w * 2; }
+
+    /// Offers e = g(u, x), the edge from u into x, as x's slack edge.
+    void update_slack(int u, int x, const Edge& e) {
+        if (slack_[x] == 0 || edge_slack(e) < edge_slack(slack_edge_[x])) {
+            slack_[x] = u;
+            slack_edge_[x] = e;
+        }
+    }
+
+    /// Recomputes x's slack edge from x's own row: g(x, u) is g(u, x) with
+    /// its endpoints swapped.
     void set_slack(int x) {
         slack_[x] = 0;
-        for (int u = 1; u <= n_; ++u)
-            if (g_[u][x].w > 0 && st_[u] != x && S_[st_[u]] == 0) update_slack(u, x);
+        for (int u = 1; u <= n_; ++u) {
+            const Edge& r = g(x, u);
+            if (r.w > 0 && st_[u] != x && S_[st_[u]] == 0)
+                update_slack(u, x, Edge{r.v, r.u, r.w});
+        }
     }
 
     void queue_push(int x) {
@@ -116,10 +142,10 @@ private:
     }
 
     void set_match(int u, int v) {
-        match_[u] = g_[u][v].v;
+        const Edge e = g(u, v);
+        match_[u] = e.v;
         if (u <= n_) return;
-        const Edge& e = g_[u][v];
-        const int xr = flower_from_[u][e.u];
+        const int xr = flower_from(u, e.u);
         const int pr = get_pr(u, xr);
         for (int i = 0; i < pr; ++i) set_match(flower_[u][i], flower_[u][i ^ 1]);
         set_match(xr, v);
@@ -138,11 +164,10 @@ private:
     }
 
     int get_lca(int u, int v) {
-        static thread_local int t = 0;
-        for (++t; u != 0 || v != 0; std::swap(u, v)) {
+        for (++lca_stamp_; u != 0 || v != 0; std::swap(u, v)) {
             if (u == 0) continue;
-            if (vis_[u] == t) return u;
-            vis_[u] = t;
+            if (vis_[u] == lca_stamp_) return u;
+            vis_[u] = lca_stamp_;
             u = st_[match_[u]];
             if (u != 0) u = st_[pa_[u]];
         }
@@ -172,28 +197,31 @@ private:
             queue_push(y);
         }
         set_st(b, b);
-        for (int x = 1; x <= n_x_; ++x) g_[b][x].w = g_[x][b].w = 0;
-        for (int x = 1; x <= n_; ++x) flower_from_[b][x] = 0;
+        for (int x = 1; x <= n_x_; ++x) g(b, x).w = g(x, b).w = 0;
+        for (int x = 1; x <= n_; ++x) flower_from(b, x) = 0;
         for (int xs : flower_[b]) {
-            for (int x = 1; x <= n_x_; ++x)
-                if (g_[b][x].w == 0 || edge_slack(g_[xs][x]) < edge_slack(g_[b][x])) {
-                    g_[b][x] = g_[xs][x];
-                    g_[x][b] = g_[x][xs];
+            for (int x = 1; x <= n_x_; ++x) {
+                const Edge& e = g(xs, x);
+                Edge& row = g(b, x);
+                if (row.w == 0 || edge_slack(e) < edge_slack(row)) {
+                    row = e;
+                    g(x, b) = Edge{e.v, e.u, e.w};
                 }
+            }
             for (int x = 1; x <= n_; ++x)
-                if (flower_from_[xs][x] != 0) flower_from_[b][x] = xs;
+                if (flower_from(xs, x) != 0) flower_from(b, x) = xs;
         }
         set_slack(b);
     }
 
     void expand_blossom(int b) {
         for (int sub : flower_[b]) set_st(sub, sub);
-        const int xr = flower_from_[b][g_[b][pa_[b]].u];
+        const int xr = flower_from(b, g(b, pa_[b]).u);
         const int pr = get_pr(b, xr);
         for (int i = 0; i < pr; i += 2) {
             const int xs = flower_[b][i];
             const int xns = flower_[b][i + 1];
-            pa_[xs] = g_[xns][xs].u;
+            pa_[xs] = g(xns, xs).u;
             S_[xs] = 1;
             S_[xns] = 0;
             slack_[xs] = 0;
@@ -247,19 +275,23 @@ private:
         if (queue_.empty()) return false;
 
         for (;;) {
-            while (!queue_.empty()) {
-                const int u = queue_.front();
-                queue_.pop_front();
+            // FIFO over a vector: pushes during the scan append behind the
+            // read cursor, exactly as a deque's pop_front/push_back would.
+            for (std::size_t head = 0; head < queue_.size(); ++head) {
+                const int u = queue_[head];
                 if (S_[st_[u]] == 1) continue;
-                for (int v = 1; v <= n_; ++v)
-                    if (g_[u][v].w > 0 && st_[u] != st_[v]) {
-                        if (edge_slack(g_[u][v]) == 0) {
-                            if (on_found_edge(g_[u][v])) return true;
+                for (int v = 1; v <= n_; ++v) {
+                    const Edge& e = g(u, v);
+                    if (e.w > 0 && st_[u] != st_[v]) {
+                        if (edge_slack(e) == 0) {
+                            if (on_found_edge(e)) return true;
                         } else {
-                            update_slack(u, st_[v]);
+                            update_slack(u, st_[v], g(u, st_[v]));
                         }
                     }
+                }
             }
+            queue_.clear();
 
             // Dual adjustment: smallest slack over the reachable structure.
             i64 d = std::numeric_limits<i64>::max();
@@ -268,9 +300,9 @@ private:
             for (int x = 1; x <= n_x_; ++x)
                 if (st_[x] == x && slack_[x] != 0) {
                     if (S_[x] == -1)
-                        d = std::min(d, edge_slack(g_[slack_[x]][x]));
+                        d = std::min(d, edge_slack(slack_edge_[x]));
                     else if (S_[x] == 0)
-                        d = std::min(d, edge_slack(g_[slack_[x]][x]) / 2);
+                        d = std::min(d, edge_slack(slack_edge_[x]) / 2);
                 }
             for (int u = 1; u <= n_; ++u) {
                 if (S_[st_[u]] == 0) {
@@ -288,11 +320,12 @@ private:
                         lab_[b] -= d * 2;
                 }
 
-            queue_.clear();
             for (int x = 1; x <= n_x_; ++x)
                 if (st_[x] == x && slack_[x] != 0 && st_[slack_[x]] != x &&
-                    edge_slack(g_[slack_[x]][x]) == 0)
-                    if (on_found_edge(g_[slack_[x]][x])) return true;
+                    edge_slack(slack_edge_[x]) == 0) {
+                    const Edge e = slack_edge_[x];  // on_found_edge may reslack x
+                    if (on_found_edge(e)) return true;
+                }
             for (int b = n_ + 1; b <= n_x_; ++b)
                 if (st_[b] == b && S_[b] == 1 && lab_[b] == 0) expand_blossom(b);
         }
@@ -300,12 +333,16 @@ private:
 
     int n_;
     int n_x_;  ///< Highest vertex id in use (originals + live blossoms).
-    std::vector<std::vector<Edge>> g_;
+    std::size_t cap_;  ///< Row length of g_: 2n + 1 vertex ids.
+    std::vector<Edge> g_;  ///< cap_ x cap_, row-major (see g()).
     std::vector<i64> lab_;  ///< Dual variables (doubled weights convention).
     std::vector<int> match_, slack_, st_, pa_, S_, vis_;
+    /// slack_edge_[x] == g(slack_[x], x) whenever slack_[x] != 0.
+    std::vector<Edge> slack_edge_;
     std::vector<std::vector<int>> flower_;
-    std::vector<std::vector<int>> flower_from_;
-    std::deque<int> queue_;
+    std::vector<int> flower_from_;  ///< cap_ x (n + 1), row-major
+    std::vector<int> queue_;
+    int lca_stamp_ = 0;  ///< get_lca's visit stamp (vis_ entries equal to it)
 };
 
 constexpr double kScale = 1 << 20;  ///< double -> integer weight scale

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <utility>
 
 #include "common/flat_map.hpp"
 #include "core/synpa_policy.hpp"
@@ -80,6 +81,8 @@ public:
     void on_task_replaced(int old_task_id, int new_task_id) override;
     void on_task_finished(int task_id) override;
     void set_tracer(obs::Tracer* tracer) override;
+    /// Forwards to the inner policy, whose Step 3 forks per chip.
+    void set_chip_fork(const sched::ChipFork& fork) override { inner_.set_chip_fork(fork); }
 
     // sched::OnlinePolicy
     std::uint64_t phase_changes() const override { return phase_changes_; }

@@ -175,6 +175,7 @@ void ScenarioRunner::admit(std::uint64_t quantum) {
 }
 
 ScenarioResult ScenarioRunner::run_open() {
+    const sched::ChipForkGuard chip_fork(policy_, platform_);
     ScenarioResult result;
     result.scenario = trace_.spec.name;
     result.policy_name = policy_.name();

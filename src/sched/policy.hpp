@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -86,6 +87,12 @@ struct CoreGroup {
 /// allocations as CoreAllocation directly.)
 using CoreAllocation = std::vector<CoreGroup>;
 
+/// Runs run_chip(c) exactly once for every c in [0, chips) and returns only
+/// after every call finished; the calls may run concurrently on other
+/// threads.  Drivers build one from their platform's chip shards
+/// (uarch::Platform::run_chips, see ChipForkGuard in sched/quantum_loop.hpp).
+using ChipFork = std::function<void(int chips, const std::function<void(int)>& run_chip)>;
+
 /// What the manager hands the policy about one task after a quantum.
 struct TaskObservation {
     int task_id = -1;
@@ -146,6 +153,13 @@ public:
     /// allocation/alarm/refit events.  The tracer outlives the run; nullptr
     /// detaches.  The default ignores it — tracing never changes decisions.
     virtual void set_tracer(obs::Tracer* tracer) { (void)tracer; }
+
+    /// Execution hook: the driver lends its platform's chip shards for the
+    /// span of a run, so a policy can fork per-chip decide work that touches
+    /// no shared state (SYNPA's per-chip matching solves).  An empty fork
+    /// detaches.  The default ignores it; like tracing, a fork never
+    /// changes decisions, only where they are computed.
+    virtual void set_chip_fork(const ChipFork& fork) { (void)fork; }
 };
 
 /// Optional side-interface for policies that adapt online — detecting task

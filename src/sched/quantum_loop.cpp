@@ -117,4 +117,17 @@ double finish_fraction(std::uint64_t insts_prev, std::uint64_t insts_now,
     return progressed > 0.0 ? needed / progressed : 1.0;
 }
 
+ChipForkGuard::ChipForkGuard(AllocationPolicy& policy, uarch::Platform& platform)
+    : policy_(policy) {
+    policy_.set_chip_fork([&platform](int chips, const std::function<void(int)>& run_chip) {
+        if (chips == platform.chip_count()) {
+            platform.run_chips(run_chip);
+            return;
+        }
+        for (int c = 0; c < chips; ++c) run_chip(c);
+    });
+}
+
+ChipForkGuard::~ChipForkGuard() { policy_.set_chip_fork({}); }
+
 }  // namespace synpa::sched

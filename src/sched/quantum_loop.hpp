@@ -66,4 +66,20 @@ TaskObservation observe_task(const uarch::Platform& platform, apps::AppInstance&
 double finish_fraction(std::uint64_t insts_prev, std::uint64_t insts_now,
                        std::uint64_t target);
 
+/// Lends the platform's chip shards to the policy's decide phase
+/// (AllocationPolicy::set_chip_fork) for the guard's lifetime and detaches
+/// on destruction, so no policy outlives the platform's engine while
+/// holding a fork into it.  A fork over a chip count other than the
+/// platform's runs serially.
+class ChipForkGuard {
+public:
+    ChipForkGuard(AllocationPolicy& policy, uarch::Platform& platform);
+    ~ChipForkGuard();
+    ChipForkGuard(const ChipForkGuard&) = delete;
+    ChipForkGuard& operator=(const ChipForkGuard&) = delete;
+
+private:
+    AllocationPolicy& policy_;
+};
+
 }  // namespace synpa::sched

@@ -45,6 +45,7 @@ void ThreadManager::apply_allocation(const CoreAllocation& alloc) {
 }
 
 RunResult ThreadManager::run() {
+    const ChipForkGuard chip_fork(policy_, platform_);
     RunResult result;
     result.policy_name = policy_.name();
     result.traces.resize(slots_.size());

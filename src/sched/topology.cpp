@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace synpa::sched {
 
@@ -98,70 +99,64 @@ std::vector<int> balance_across_chips(std::span<const TaskObservation> observati
     return target;
 }
 
-std::vector<std::vector<std::size_t>> indices_by_chip(std::span<const int> target_chips,
-                                                      int chips) {
-    std::vector<std::vector<std::size_t>> out(static_cast<std::size_t>(chips));
-    for (std::size_t i = 0; i < target_chips.size(); ++i)
-        out.at(static_cast<std::size_t>(target_chips[i])).push_back(i);
-    return out;
-}
-
-std::vector<TaskObservation> localize_observations(
-    std::span<const TaskObservation> observations, std::span<const std::size_t> indices,
-    int chip, int cores_per_chip) {
-    std::vector<TaskObservation> out;
-    out.reserve(indices.size());
-    for (const std::size_t i : indices) {
-        TaskObservation o = observations[i];
-        // A task the balancer reassigned still reports its *old* core; only
-        // same-chip incumbency is meaningful to the local placement, so
-        // foreign cores become "no incumbent".
-        if (o.chip == chip) {
-            o.core -= chip * cores_per_chip;
-        } else {
-            o.core = -1;
+std::vector<ChipShare> split_across_chips(std::span<const TaskObservation> observations,
+                                          const TopologyView& topo,
+                                          const SoloCost& solo_cost,
+                                          const PairCost& pair_cost,
+                                          double migration_penalty) {
+    const std::vector<int> target =
+        balance_across_chips(observations, topo, solo_cost, pair_cost, migration_penalty);
+    std::vector<ChipShare> shares(static_cast<std::size_t>(topo.chips));
+    for (std::size_t i = 0; i < target.size(); ++i)
+        shares[static_cast<std::size_t>(target[i])].indices.push_back(i);
+    for (int c = 0; c < topo.chips; ++c) {
+        ChipShare& share = shares[static_cast<std::size_t>(c)];
+        share.local.reserve(share.indices.size());
+        for (const std::size_t i : share.indices) {
+            TaskObservation o = observations[i];
+            // A task the balancer reassigned still reports its *old* core;
+            // only same-chip incumbency is meaningful to the local
+            // placement, so foreign cores become "no incumbent".
+            if (o.chip == c) {
+                o.core -= c * topo.cores_per_chip;
+            } else {
+                o.core = -1;
+            }
+            o.chip = 0;
+            o.num_chips = 1;
+            o.total_cores = topo.cores_per_chip;
+            share.local.push_back(std::move(o));
         }
-        o.chip = 0;
-        o.num_chips = 1;
-        o.total_cores = cores_per_chip;
-        out.push_back(std::move(o));
     }
-    return out;
+    return shares;
 }
 
 CoreAllocation allocate_across_chips(std::span<const TaskObservation> observations,
                                      const TopologyView& topo, const SoloCost& solo_cost,
                                      const PairCost& pair_cost, double migration_penalty,
                                      const ChipAllocator& allocate) {
-    const std::vector<int> target =
-        balance_across_chips(observations, topo, solo_cost, pair_cost, migration_penalty);
-    const std::vector<std::vector<std::size_t>> by_chip =
-        indices_by_chip(target, topo.chips);
+    const std::vector<ChipShare> shares =
+        split_across_chips(observations, topo, solo_cost, pair_cost, migration_penalty);
     std::vector<CoreAllocation> per_chip;
-    per_chip.reserve(by_chip.size());
+    per_chip.reserve(shares.size());
     for (int c = 0; c < topo.chips; ++c) {
-        const auto& idx = by_chip[static_cast<std::size_t>(c)];
-        const std::vector<TaskObservation> local =
-            localize_observations(observations, idx, c, topo.cores_per_chip);
-        CoreAllocation alloc = allocate(c, local, idx);
-        if (alloc.size() > static_cast<std::size_t>(topo.cores_per_chip))
-            throw std::invalid_argument(
-                "allocate_across_chips: chip allocation exceeds its cores");
-        alloc.resize(static_cast<std::size_t>(topo.cores_per_chip));
-        per_chip.push_back(std::move(alloc));
+        const ChipShare& share = shares[static_cast<std::size_t>(c)];
+        per_chip.push_back(allocate(c, share.local, share.indices));
     }
     return concat_chip_allocations(per_chip, topo.cores_per_chip);
 }
 
 CoreAllocation concat_chip_allocations(std::span<const CoreAllocation> per_chip,
                                        int cores_per_chip) {
+    const auto cores = static_cast<std::size_t>(cores_per_chip);
     CoreAllocation out;
-    out.reserve(per_chip.size() * static_cast<std::size_t>(cores_per_chip));
+    out.reserve(per_chip.size() * cores);
     for (const CoreAllocation& alloc : per_chip) {
-        if (alloc.size() != static_cast<std::size_t>(cores_per_chip))
+        if (alloc.size() > cores)
             throw std::invalid_argument(
-                "concat_chip_allocations: chip allocation does not cover its cores");
+                "concat_chip_allocations: chip allocation exceeds its cores");
         out.insert(out.end(), alloc.begin(), alloc.end());
+        out.resize(out.size() + cores - alloc.size());
     }
     return out;
 }

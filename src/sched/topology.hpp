@@ -54,22 +54,30 @@ std::vector<int> balance_across_chips(std::span<const TaskObservation> observati
                                       const TopologyView& topo, const SoloCost& solo_cost,
                                       const PairCost& pair_cost, double migration_penalty);
 
-/// Splits observation indices by target chip (entry c = indices assigned
-/// to chip c, in observation order).
-std::vector<std::vector<std::size_t>> indices_by_chip(std::span<const int> target_chips,
-                                                      int chips);
+/// One chip's share of a multi-chip quantum: the observation indices the
+/// balancing pass assigned to the chip (in observation order) and their
+/// copies with core ids localized to the chip (core - chip *
+/// cores_per_chip; a task moved in from another chip gets core -1, "no
+/// incumbent"), so single-chip solvers and incumbent-aware placement work
+/// unchanged on the subset.
+struct ChipShare {
+    std::vector<std::size_t> indices;
+    std::vector<TaskObservation> local;
+};
 
-/// Copies the given observations localizing their core ids to the chip
-/// (core - chip * cores_per_chip), so single-chip solvers and
-/// incumbent-aware placement work unchanged on the subset.
-std::vector<TaskObservation> localize_observations(
-    std::span<const TaskObservation> observations, std::span<const std::size_t> indices,
-    int chip, int cores_per_chip);
+/// The balance + localize half of the multi-chip decide: runs
+/// balance_across_chips, splits the observations by target chip and
+/// localizes each subset.  Entry c is chip c's share.
+std::vector<ChipShare> split_across_chips(std::span<const TaskObservation> observations,
+                                          const TopologyView& topo,
+                                          const SoloCost& solo_cost,
+                                          const PairCost& pair_cost,
+                                          double migration_penalty);
 
-/// Stitches per-chip allocations (each cores_per_chip entries, local core
-/// order) into one platform-wide allocation in chip-major global core
-/// order.  Throws std::invalid_argument if a chip allocation has the wrong
-/// size.
+/// Stitches per-chip allocations (local core order, at most cores_per_chip
+/// entries each; shorter ones are padded with idle cores) into one
+/// platform-wide allocation in chip-major global core order.  Throws
+/// std::invalid_argument if a chip allocation exceeds its cores.
 CoreAllocation concat_chip_allocations(std::span<const CoreAllocation> per_chip,
                                        int cores_per_chip);
 
@@ -80,20 +88,17 @@ inline constexpr double kDefaultCrossChipPenalty = 0.15;
 
 /// Solves one chip's (localized) sub-problem.  `chip` is the chip ordinal
 /// (0-based, ascending invocation order — stable across quanta, so
-/// policies can keep per-chip incremental state such as solve memos);
-/// `local` is the chip's observation subset with core ids localized (see
-/// localize_observations); `indices` are the corresponding indices into
-/// the original observation span, so policies can subset side arrays
-/// (e.g. the oracle's truth vectors) in step.  May return fewer than
-/// cores_per_chip entries; the driver pads with idle cores.
+/// policies can keep per-chip incremental state); `local` and `indices`
+/// are the chip's ChipShare, so policies can subset side arrays (e.g. the
+/// oracle's truth vectors) in step.  May return fewer than cores_per_chip
+/// entries; the driver pads with idle cores.
 using ChipAllocator = std::function<CoreAllocation(
     int chip, std::span<const TaskObservation> local,
     std::span<const std::size_t> indices)>;
 
-/// The whole multi-chip orchestration the informed policies share: run the
-/// balancing pass, split the observations by target chip, localize each
-/// subset, invoke `allocate` per chip, and stitch the results into one
-/// platform-wide allocation.
+/// The serial multi-chip orchestration: split_across_chips, then
+/// `allocate` per chip in ascending order, stitched by
+/// concat_chip_allocations.
 CoreAllocation allocate_across_chips(std::span<const TaskObservation> observations,
                                      const TopologyView& topo, const SoloCost& solo_cost,
                                      const PairCost& pair_cost, double migration_penalty,

@@ -115,6 +115,14 @@ void Platform::run_quantum() {
     ++quanta_;
 }
 
+void Platform::run_chips(const std::function<void(int)>& run_chip) {
+    if (engine_) {
+        engine_->run_chips(run_chip);
+        return;
+    }
+    for (int c = 0; c < chip_count(); ++c) run_chip(c);
+}
+
 pmu::CounterBank Platform::task_counters(int task_id) const {
     const int* it = last_chip_.find(task_id);
     if (it == nullptr) throw std::logic_error("Platform::task_counters: unknown task");

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -99,6 +100,13 @@ public:
 
     /// Host threads a quantum actually uses (1 = serial path).
     int sim_shards() const noexcept { return engine_ ? engine_->shard_count() : 1; }
+
+    /// Runs run_chip(c) once for every chip c on the platform's chip shards
+    /// and returns after the barrier — the engine run_quantum uses, lent to
+    /// the drivers' decide phase between quanta (ascending serial loop when
+    /// there is no engine).  `run_chip` must not touch state shared across
+    /// chips; the first exception of any shard is rethrown here.
+    void run_chips(const std::function<void(int)>& run_chip);
 
     /// Attaches the drivers' flight recorder (not owned; nullptr detaches).
     /// With tracing on, run_quantum times each chip's quantum with host

@@ -12,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "matching/matching.hpp"
+#include "model/interference_model.hpp"
 
 namespace {
 
@@ -278,6 +279,80 @@ TEST(Blossom, ScalesBeyondDpLimits) {
         greedy_total += best;
     }
     EXPECT_LE(bl.total_weight, greedy_total + 1e-6);
+}
+
+// SYNPA-structured instances: Equation-1 pair costs (paper Table IV
+// coefficients) over random isolated category vectors, the cost surface
+// the decide phase actually solves.  `tasks` < `vertices` pads the
+// instance the way min_weight_partial does (task-dummy edge = the task's
+// solo cost, dummy-dummy edge = 0), which is where ties are densest.
+WeightMatrix synpa_matrix(std::size_t tasks, std::size_t vertices, std::uint64_t seed) {
+    const auto model = synpa::model::InterferenceModel::paper_table4();
+    Rng rng(seed, 0x5e9a);
+    std::vector<synpa::model::CategoryVector> cats(tasks);
+    for (auto& c : cats) {
+        double sum = 0.0;
+        for (double& x : c) sum += (x = rng.uniform(0.05, 1.0));
+        for (double& x : c) x /= sum;
+    }
+    const synpa::model::CategoryVector nobody{};
+    WeightMatrix w(vertices);
+    for (std::size_t u = 0; u < tasks; ++u) {
+        for (std::size_t v = u + 1; v < tasks; ++v)
+            w.set(u, v, model.predict_slowdown(cats[u], cats[v]) +
+                            model.predict_slowdown(cats[v], cats[u]));
+        const double solo = model.predict_slowdown(cats[u], nobody);
+        for (std::size_t d = tasks; d < vertices; ++d) w.set(u, d, solo);
+    }
+    return w;
+}
+
+TEST(Blossom, MateVectorsArePinnedOnSynpaInstances) {
+    // Exact mate vectors, not just optimal totals: the decide phase's
+    // allocations (and every golden downstream) depend on which optimum
+    // Blossom returns among ties, so any drift in the solver's
+    // tie-breaking must fail here.
+    struct Pinned {
+        std::size_t tasks, vertices;
+        std::uint64_t seed;
+        std::vector<int> mate;
+    };
+    const std::vector<Pinned> pinned = {
+        {64, 64, 1,
+         {31, 35, 25, 39, 7, 30, 45, 4, 62, 60, 38, 57, 40, 18, 58, 48, 34, 23, 13,
+          29, 33, 61, 32, 17, 43, 2, 27, 26, 49, 19, 5, 0, 22, 20, 16, 1, 50, 46,
+          10, 3, 12, 47, 59, 24, 63, 6, 37, 41, 15, 28, 36, 56, 55, 54, 53, 52, 51,
+          11, 14, 42, 9, 21, 8, 44}},
+        {48, 64, 2,
+         {42, 48, 51, 25, 34, 49, 54, 50, 33, 55, 13, 30, 19, 10, 53, 52, 18, 56,
+          16, 12, 41, 37, 57, 59, 40, 3, 31, 60, 58, 43, 11, 26, 62, 8, 4, 39, 45,
+          21, 61, 35, 24, 20, 0, 29, 47, 36, 63, 44, 1, 5, 7, 2, 15, 14, 6, 9, 17,
+          22, 28, 23, 27, 38, 32, 46}},
+        {128, 128, 3,
+         {81, 20, 82, 97, 23, 27, 55, 64, 41, 68, 49, 34, 42, 58, 93, 37, 54, 72,
+          43, 52, 1, 32, 98, 4, 117, 89, 107, 5, 115, 33, 66, 121, 21, 29, 11, 70,
+          91, 15, 124, 102, 76, 8, 12, 18, 112, 96, 106, 126, 80, 10, 114, 59, 19,
+          74, 16, 6, 127, 73, 13, 51, 85, 79, 123, 103, 7, 78, 30, 125, 9, 75, 35,
+          108, 17, 57, 53, 69, 40, 104, 65, 61, 48, 0, 2, 100, 86, 60, 84, 109, 113,
+          25, 99, 36, 119, 14, 120, 118, 45, 3, 22, 90, 83, 105, 39, 63, 77, 101,
+          46, 26, 71, 87, 116, 122, 44, 88, 50, 28, 110, 24, 95, 92, 94, 31, 111,
+          62, 38, 67, 47, 56}},
+        {100, 128, 4,
+         {53, 101, 91, 17, 99, 78, 42, 100, 29, 61, 102, 81, 96, 16, 65, 51, 13, 3,
+          55, 103, 104, 54, 106, 25, 85, 23, 95, 108, 109, 8, 105, 76, 41, 72, 38,
+          45, 92, 116, 34, 49, 110, 32, 6, 121, 113, 35, 89, 111, 120, 39, 67, 15,
+          112, 0, 21, 18, 119, 107, 118, 125, 68, 9, 115, 73, 114, 14, 70, 50, 60,
+          117, 66, 124, 33, 63, 122, 86, 31, 98, 5, 87, 123, 11, 88, 97, 126, 24,
+          75, 79, 82, 46, 127, 2, 36, 94, 93, 26, 12, 83, 77, 4, 7, 1, 10, 19, 20,
+          30, 22, 57, 27, 28, 40, 47, 52, 44, 64, 62, 37, 69, 58, 56, 48, 43, 74,
+          80, 71, 59, 84, 90}},
+    };
+    for (const Pinned& p : pinned) {
+        const WeightMatrix w = synpa_matrix(p.tasks, p.vertices, p.seed);
+        const MatchingResult m = BlossomMatcher{}.min_weight_perfect(w);
+        expect_valid_perfect(m, p.vertices);
+        EXPECT_EQ(m.mate, p.mate) << "tasks=" << p.tasks << " vertices=" << p.vertices;
+    }
 }
 
 TEST(MatchingWeight, SumsPairs) {

@@ -194,6 +194,40 @@ TEST(WeightCacheTest, ForgetDropsSoloAndPairRow) {
     EXPECT_EQ(cache.find_pair(1, 1, 2, 1), nullptr);
 }
 
+TEST(WeightCacheTest, PairRowsKeyOnTheIdGap) {
+    // Pair rows are indexed by the id gap v - u: equal gaps under different
+    // lower ids and gaps as wide as a long fleet run's id range must never
+    // alias, and forget() drops only the retired id's own row.
+    WeightCache cache;
+    cache.store_pair(10, 1, 17'600, 1, 1.0);
+    cache.store_pair(17'610, 1, 20, 1, 2.0);  // same gap, row 20
+    cache.store_pair(10, 1, 20, 1, 3.0);      // gap 10, row 10
+    cache.store_pair(20, 1, 30, 1, 4.0);      // gap 10, row 20
+    const auto cost = [&](int u, int v) {
+        const double* hit = cache.find_pair(u, 1, v, 1);
+        return hit != nullptr ? *hit : -1.0;
+    };
+    EXPECT_EQ(cost(10, 17'600), 1.0);
+    EXPECT_EQ(cost(20, 17'610), 2.0);
+    EXPECT_EQ(cost(10, 20), 3.0);
+    EXPECT_EQ(cost(30, 20), 4.0);
+    EXPECT_EQ(cost(10, 30), -1.0);  // gap 20 was never stored under row 10
+
+    cache.forget(20);
+    EXPECT_EQ(cost(20, 17'610), -1.0);
+    EXPECT_EQ(cost(20, 30), -1.0);
+    // Entries under a lower surviving id stay reachable after forget().
+    EXPECT_EQ(cost(20, 10), 3.0);
+    EXPECT_EQ(cost(17'600, 10), 1.0);
+
+    // A rebuilt row starts empty and keys on the new epochs.
+    cache.store_pair(30, 2, 20, 2, 5.0);
+    const double* hit = cache.find_pair(20, 2, 30, 2);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(*hit, 5.0);
+    EXPECT_EQ(cache.find_pair(20, 1, 30, 1), nullptr);
+}
+
 TEST(WeightCacheTest, ModelEpochChangeClearsEverything) {
     WeightCache cache;
     cache.sync_model_epoch(0);
@@ -501,8 +535,8 @@ std::string run_signature(const scenario::ScenarioResult& result) {
     std::string sig = std::to_string(result.quanta_executed) + "/" +
                       std::to_string(result.migrations);
     for (const scenario::TaskRecord& rec : result.tasks) {
-        sig += ";" + std::to_string(rec.task_id) + ":" +
-               std::to_string(rec.finish_quantum) + ":" +
+        sig += ';';
+        sig += std::to_string(rec.task_id) + ":" + std::to_string(rec.finish_quantum) + ":" +
                std::to_string(rec.admit_quantum);
     }
     return sig;

@@ -28,7 +28,8 @@ Rules
            `trace-ok(<reason>)`.
   SHARD-01 no mutable namespace-scope state (non-const globals; non-const
            `static` locals or data members in headers) in the layers that
-           run inside the parallel-engine barrier (src/{uarch,apps,pmu}).
+           run inside a fork/join barrier (src/{uarch,apps,pmu,fleet,
+           matching}).
            Chip shards share no mutable state by construction; a global
            would be an unsynchronized cross-shard race.
            `shard-ok(<reason>)`.
@@ -77,9 +78,11 @@ MARKER_TAGS = {
 DET_LAYERS = ("src/core/", "src/sched/", "src/uarch/", "src/scenario/",
               "src/matching/", "src/online/", "src/model/", "src/fleet/")
 # Layers whose code runs inside a fork/join barrier: chip shards
-# (uarch/apps/pmu) and fleet nodes stepped concurrently over the fleet
-# thread pool.
-BARRIER_LAYERS = ("src/uarch/", "src/apps/", "src/pmu/", "src/fleet/")
+# (uarch/apps/pmu), fleet nodes stepped concurrently over the fleet
+# thread pool, and the per-chip matching solves the decide phase forks
+# over the chip shards.
+BARRIER_LAYERS = ("src/uarch/", "src/apps/", "src/pmu/", "src/fleet/",
+                  "src/matching/")
 
 CPP_SUFFIXES = {".cpp", ".cc", ".cxx", ".hpp", ".hh", ".h", ".ipp"}
 
