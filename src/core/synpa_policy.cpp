@@ -242,7 +242,9 @@ void SynpaPolicy::trace_allocation(const sched::CoreAllocation& alloc) const {
         const sched::CoreGroup& g = alloc[c];
         if (g.empty()) continue;
         ++e.a;
-        const double cost = group_cost(g.members());
+        // Uncached: the same bits (WeightCache's exactness contract) without
+        // a lookup, so tracing leaves the cache statistics it reports alone.
+        const double cost = group_cost_uncached(g.members());
         total_cost += cost;
         e.detail += " c" + std::to_string(c) + "[";
         for (int i = 0; i < g.occupancy(); ++i) {

@@ -181,7 +181,8 @@ private:
 
     /// Emits a kAllocation event for the decided grouping (group membership
     /// and the predicted per-group costs).  The extra estimator passes run
-    /// only when the tracer wants allocation events.
+    /// only when the tracer wants allocation events, and bypass the
+    /// WeightCache so a traced run reports the untraced cache statistics.
     void trace_allocation(const sched::CoreAllocation& alloc) const;
 
     /// Folds cumulative cache statistics into the tracer's metrics

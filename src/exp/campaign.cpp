@@ -1,17 +1,16 @@
 #include "exp/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "exp/grid_engine.hpp"
 #include "metrics/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sched/registry.hpp"
@@ -153,57 +152,17 @@ CampaignResult CampaignRunner::run(const Campaign& campaign,
         plans.push_back(std::move(plan));
     }
 
-    // ---- build the flat cell list in grid order ---------------------------
+    // ---- every (config, workload, policy) cell in grid order --------------
     const int reps = std::max(1, campaign.methodology.reps);
-    struct CellState {
-        std::size_t index = 0;  ///< position in grid order
-        std::size_t config_index = 0, workload_index = 0, policy_index = 0;
-        const ConfigPlan* plan = nullptr;
-        const workloads::WorkloadSpec* spec = nullptr;
-        const PolicySpec* policy = nullptr;
-        std::vector<sched::RunResult> runs;
-        std::vector<metrics::WorkloadMetrics> run_metrics;
-        std::atomic<int> remaining{0};
-    };
-    std::vector<std::unique_ptr<CellState>> cells;
+    std::vector<GridCell> cells;
     for (std::size_t ci = 0; ci < plans.size(); ++ci)
         for (std::size_t wi = 0; wi < plans[ci].workloads.size(); ++wi)
-            for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-                auto cell = std::make_unique<CellState>();
-                cell->index = cells.size();
-                cell->config_index = ci;
-                cell->workload_index = wi;
-                cell->policy_index = pi;
-                cell->plan = &plans[ci];
-                cell->spec = &plans[ci].workloads[wi];
-                cell->policy = &policies[pi];
-                cell->runs.resize(static_cast<std::size_t>(reps));
-                cell->run_metrics.resize(static_cast<std::size_t>(reps));
-                cell->remaining.store(reps, std::memory_order_relaxed);
-                cells.push_back(std::move(cell));
-            }
-
-    // ---- reorder buffer: release finished cells in grid order -------------
-    std::mutex emit_mutex;
-    std::vector<std::unique_ptr<CellResult>> finished(cells.size());
-    std::size_t next_emit = 0;
-    std::vector<CellResult> emitted;
-    emitted.reserve(cells.size());
-    const auto emit_ready = [&](std::unique_ptr<CellResult> done, std::size_t index) {
-        const std::lock_guard lock(emit_mutex);
-        finished[index] = std::move(done);
-        while (next_emit < finished.size() && finished[next_emit]) {
-            CellResult& cell = *finished[next_emit];
-            for (Aggregator* agg : aggregators) agg->on_cell(cell);
-            if (opts_.log != nullptr)
-                *opts_.log << "[" << (next_emit + 1) << "/" << cells.size() << "] "
-                           << cell.workload << " / " << cell.policy
-                           << " TT=" << cell.result.mean_metrics.turnaround_quanta << "\n";
-            emitted.push_back(std::move(cell));
-            finished[next_emit].reset();
-            ++next_emit;
-        }
-    };
+            for (std::size_t pi = 0; pi < policies.size(); ++pi) cells.push_back({ci, wi, pi});
+    const auto nreps = static_cast<std::size_t>(reps);
+    std::vector<std::vector<sched::RunResult>> runs(cells.size(),
+                                                    std::vector<sched::RunResult>(nreps));
+    std::vector<std::vector<metrics::WorkloadMetrics>> run_metrics(
+        cells.size(), std::vector<metrics::WorkloadMetrics>(nreps));
 
     // Per-cell flight recording: with SYNPA_TRACE and a SYNPA_TRACE_FILE
     // set, every repetition gets its own tracer and trace file (tagged
@@ -211,61 +170,65 @@ CampaignResult CampaignRunner::run(const Campaign& campaign,
     // recorder and memoized artifacts stay byte-identical.
     const obs::TraceConfig trace_cfg = obs::TraceConfig::from_env();
 
-    // ---- schedule every repetition over the persistent pool ---------------
-    for (const auto& cell_ptr : cells) {
-        CellState* cell = cell_ptr.get();
-        for (int rep = 0; rep < reps; ++rep) {
-            pool_.submit([this, &campaign, cell, rep, &emit_ready, &trace_cfg] {
-                const workloads::MethodologyOptions& opts = campaign.methodology;
-                workloads::MethodologyOptions rep_opts = opts;
-                rep_opts.record_traces = opts.record_traces && rep == 0;
-                rep_opts.threads = 1;  // parallelism lives at the rep grain
-                std::unique_ptr<obs::Tracer> tracer;
-                if (trace_cfg.enabled && !trace_cfg.file.empty()) {
-                    char tag[64];
-                    std::snprintf(tag, sizeof(tag), "c%zuw%zup%zur%d", cell->config_index,
-                                  cell->workload_index, cell->policy_index, rep);
-                    obs::TraceConfig cell_trace = trace_cfg;
-                    cell_trace.file = obs::derive_trace_path(trace_cfg.file, tag);
-                    tracer = std::make_unique<obs::Tracer>(std::move(cell_trace));
-                    rep_opts.tracer = tracer.get();
-                }
-                const auto prepared = cache_->prepared(*cell->spec, cell->plan->cfg, opts, rep);
-                const std::uint64_t rep_seed = common::derive_key(
-                    opts.seed, common::hash_string(cell->spec->name), 0x9001,
-                    static_cast<std::uint64_t>(rep));
-                const auto pol = cell->policy->make(cell->plan->artifacts, rep_seed);
-                // Nested parallelism composes by capping: repetitions
-                // already fan out over this pool, so the cell's platform
-                // only keeps sim_threads the host has spare (results are
-                // identical at any thread count).
-                uarch::SimConfig cell_cfg = cell->plan->cfg;
-                cell_cfg.sim_threads =
-                    uarch::nested_sim_threads(cell_cfg.sim_threads, pool_.size());
-                cell->runs[static_cast<std::size_t>(rep)] = workloads::run_workload_once(
-                    *prepared, cell_cfg, *pol, rep_opts);
-                if (tracer) tracer->finish();
-                cell->run_metrics[static_cast<std::size_t>(rep)] =
-                    metrics::compute_metrics(cell->runs[static_cast<std::size_t>(rep)]);
-                if (cell->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-                // Last repetition of this cell: finalize and stream it out.
-                auto done = std::make_unique<CellResult>();
-                done->config_index = cell->config_index;
-                done->workload_index = cell->workload_index;
-                done->policy_index = cell->policy_index;
-                done->chips = campaign.configs[cell->config_index].num_chips;
-                done->cores = campaign.configs[cell->config_index].cores;
-                done->smt_ways = campaign.configs[cell->config_index].smt_ways;
-                done->workload = cell->spec->name;
-                done->policy = cell->policy->label;
-                done->adaptive = cell->policy->adaptive;
-                done->result = aggregate_repetitions(*cell->spec, std::move(cell->runs),
-                                                     cell->run_metrics, opts.cv_limit);
-                emit_ready(std::move(done), cell->index);
-            });
+    const workloads::MethodologyOptions& opts = campaign.methodology;
+    const auto run_rep = [&](std::size_t index, int rep) {
+        const GridCell& cell = cells[index];
+        const ConfigPlan& plan = plans[cell.config];
+        const workloads::WorkloadSpec& spec = plan.workloads[cell.item];
+        workloads::MethodologyOptions rep_opts = opts;
+        rep_opts.record_traces = opts.record_traces && rep == 0;
+        rep_opts.threads = 1;  // parallelism lives at the rep grain
+        std::unique_ptr<obs::Tracer> tracer;
+        if (trace_cfg.enabled && !trace_cfg.file.empty()) {
+            char tag[64];
+            std::snprintf(tag, sizeof(tag), "c%zuw%zup%zur%d", cell.config, cell.item,
+                          cell.policy, rep);
+            obs::TraceConfig cell_trace = trace_cfg;
+            cell_trace.file = obs::derive_trace_path(trace_cfg.file, tag);
+            tracer = std::make_unique<obs::Tracer>(std::move(cell_trace));
+            rep_opts.tracer = tracer.get();
         }
-    }
-    pool_.wait_idle();  // rethrows the first repetition failure, if any
+        const auto prepared = cache_->prepared(spec, plan.cfg, opts, rep);
+        const std::uint64_t rep_seed = common::derive_key(
+            opts.seed, common::hash_string(spec.name), 0x9001, static_cast<std::uint64_t>(rep));
+        const auto pol = policies[cell.policy].make(plan.artifacts, rep_seed);
+        // Nested parallelism composes by capping: repetitions already fan
+        // out over this pool, so the cell's platform only keeps sim_threads
+        // the host has spare (results are identical at any thread count).
+        uarch::SimConfig cell_cfg = plan.cfg;
+        cell_cfg.sim_threads = uarch::nested_sim_threads(cell_cfg.sim_threads, pool_.size());
+        const auto r = static_cast<std::size_t>(rep);
+        runs[index][r] = workloads::run_workload_once(*prepared, cell_cfg, *pol, rep_opts);
+        if (tracer) tracer->finish();
+        run_metrics[index][r] = metrics::compute_metrics(runs[index][r]);
+    };
+    const auto finish = [&](std::size_t index) {
+        const GridCell& cell = cells[index];
+        const uarch::SimConfig& cfg = campaign.configs[cell.config];
+        const workloads::WorkloadSpec& spec = plans[cell.config].workloads[cell.item];
+        CellResult done;
+        done.config_index = cell.config;
+        done.workload_index = cell.item;
+        done.policy_index = cell.policy;
+        done.chips = cfg.num_chips;
+        done.cores = cfg.cores;
+        done.smt_ways = cfg.smt_ways;
+        done.workload = spec.name;
+        done.policy = policies[cell.policy].label;
+        done.adaptive = policies[cell.policy].adaptive;
+        done.result = aggregate_repetitions(spec, std::move(runs[index]), run_metrics[index],
+                                            opts.cv_limit);
+        return done;
+    };
+    const auto emit = [&](const CellResult& cell, std::size_t index) {
+        for (Aggregator* agg : aggregators) agg->on_cell(cell);
+        if (opts_.log != nullptr)
+            *opts_.log << "[" << (index + 1) << "/" << cells.size() << "] " << cell.workload
+                       << " / " << cell.policy
+                       << " TT=" << cell.result.mean_metrics.turnaround_quanta << "\n";
+    };
+    std::vector<CellResult> emitted =
+        run_grid<CellResult>(pool_, cells.size(), reps, run_rep, finish, emit);
 
     for (Aggregator* agg : aggregators) agg->finish();
 

@@ -1,13 +1,13 @@
 #include "exp/fleet_grid.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "exp/grid_engine.hpp"
 #include "fleet/policy.hpp"
 #include "workloads/groups.hpp"
 
@@ -50,113 +50,81 @@ FleetGridResult FleetGridRunner::run(const FleetCampaign& campaign,
         }
     }
 
-    // ---- flat cell list in grid order -------------------------------------
+    // ---- every (config, scenario, fleet policy) cell in grid order --------
     const int reps = std::max(1, campaign.reps);
-    struct CellState {
-        std::size_t index = 0;
-        std::size_t config_index = 0, scenario_index = 0, policy_index = 0;
-        std::vector<fleet::FleetResult> runs;
-        std::atomic<int> remaining{0};
-    };
-    std::vector<std::unique_ptr<CellState>> cells;
+    std::vector<GridCell> cells;
     for (std::size_t ci = 0; ci < campaign.node_configs.size(); ++ci)
         for (std::size_t si = 0; si < campaign.scenarios.size(); ++si)
-            for (std::size_t pi = 0; pi < campaign.fleet_policies.size(); ++pi) {
-                auto cell = std::make_unique<CellState>();
-                cell->index = cells.size();
-                cell->config_index = ci;
-                cell->scenario_index = si;
-                cell->policy_index = pi;
-                cell->runs.resize(static_cast<std::size_t>(reps));
-                cell->remaining.store(reps, std::memory_order_relaxed);
-                cells.push_back(std::move(cell));
-            }
+            for (std::size_t pi = 0; pi < campaign.fleet_policies.size(); ++pi)
+                cells.push_back({ci, si, pi});
+    std::vector<std::vector<fleet::FleetResult>> runs(
+        cells.size(), std::vector<fleet::FleetResult>(static_cast<std::size_t>(reps)));
 
-    // ---- reorder buffer: release finished cells in grid order -------------
-    std::mutex emit_mutex;
-    std::vector<std::unique_ptr<FleetCellResult>> finished(cells.size());
-    std::size_t next_emit = 0;
-    std::vector<FleetCellResult> emitted;
-    emitted.reserve(cells.size());
-    const auto emit_ready = [&](std::unique_ptr<FleetCellResult> done, std::size_t index) {
-        const std::lock_guard lock(emit_mutex);
-        finished[index] = std::move(done);
-        while (next_emit < finished.size() && finished[next_emit]) {
-            FleetCellResult& cell = *finished[next_emit];
-            for (FleetAggregator* agg : aggregators) agg->on_cell(cell);
-            if (opts_.log != nullptr)
-                *opts_.log << "[" << (next_emit + 1) << "/" << cells.size() << "] "
-                           << cell.scenario << " / " << cell.fleet_policy
-                           << " p99_slowdown=" << cell.summary.all.p99_slowdown
-                           << " goodput=" << cell.summary.goodput << "\n";
-            emitted.push_back(std::move(cell));
-            finished[next_emit].reset();
-            ++next_emit;
-        }
+    const auto run_rep = [&](std::size_t index, int rep) {
+        const GridCell& cell = cells[index];
+        const uarch::SimConfig& cfg = campaign.node_configs[cell.config];
+        // Repetitions re-sample the arrival process with a derived seed; rep
+        // 0 keeps the spec verbatim so its memoized trace is shared with
+        // direct scenario_trace callers.
+        scenario::ScenarioSpec spec = campaign.scenarios[cell.item];
+        if (rep > 0)
+            spec.seed = common::derive_key(spec.seed, 0x9e9, static_cast<std::uint64_t>(rep));
+        const auto trace = cache_->scenario_trace(spec, cfg);
+        const std::uint64_t rep_seed =
+            common::derive_key(spec.seed, 0x9001, static_cast<std::uint64_t>(rep));
+
+        fleet::FleetOptions fo;
+        fo.nodes = campaign.nodes;
+        fo.node_config = cfg;
+        fo.node_policy = campaign.node_policy;
+        fo.fleet_policy = campaign.fleet_policies[cell.policy];
+        fo.fleet_seed = common::derive_key(rep_seed, 0xf1ee);
+        fo.preemption = campaign.preemption;
+        // Nested parallelism composes by capping under the grid pool
+        // (identical results at any thread count).
+        fo.threads = static_cast<std::size_t>(uarch::nested_sim_threads(
+            static_cast<int>(std::max<std::size_t>(campaign.fleet_threads, 1)), pool_.size()));
+        fo.max_quanta = campaign.max_quanta;
+        fo.record_timeline = campaign.record_timelines;
+        const ArtifactSet& arts = artifacts[cell.config];
+        if (arts.training)
+            fo.policy_config.model = std::shared_ptr<const model::InterferenceModel>(
+                arts.training, &arts.training->model);
+        else if (campaign.model)
+            fo.policy_config.model = campaign.model;
+        fo.policy_config.seed = rep_seed;
+
+        fleet::FleetRunner runner(*trace, std::move(fo));
+        runs[index][static_cast<std::size_t>(rep)] = runner.run();
     };
-
-    // ---- schedule every repetition over the persistent pool ---------------
-    for (const auto& cell_ptr : cells) {
-        CellState* cell = cell_ptr.get();
-        for (int rep = 0; rep < reps; ++rep) {
-            pool_.submit([this, &campaign, &artifacts, cell, rep, &emit_ready] {
-                const uarch::SimConfig& cfg = campaign.node_configs[cell->config_index];
-                // Repetitions re-sample the arrival process with a derived
-                // seed; rep 0 keeps the spec verbatim so its memoized trace
-                // is shared with direct scenario_trace callers.
-                scenario::ScenarioSpec spec = campaign.scenarios[cell->scenario_index];
-                if (rep > 0)
-                    spec.seed = common::derive_key(spec.seed, 0x9e9,
-                                                   static_cast<std::uint64_t>(rep));
-                const auto trace = cache_->scenario_trace(spec, cfg);
-                const std::uint64_t rep_seed =
-                    common::derive_key(spec.seed, 0x9001, static_cast<std::uint64_t>(rep));
-
-                fleet::FleetOptions fo;
-                fo.nodes = campaign.nodes;
-                fo.node_config = cfg;
-                fo.node_policy = campaign.node_policy;
-                fo.fleet_policy = campaign.fleet_policies[cell->policy_index];
-                fo.fleet_seed = common::derive_key(rep_seed, 0xf1ee);
-                fo.preemption = campaign.preemption;
-                // Nested parallelism composes by capping under the grid pool
-                // (identical results at any thread count).
-                fo.threads = static_cast<std::size_t>(uarch::nested_sim_threads(
-                    static_cast<int>(std::max<std::size_t>(campaign.fleet_threads, 1)),
-                    pool_.size()));
-                fo.max_quanta = campaign.max_quanta;
-                fo.record_timeline = campaign.record_timelines;
-                const ArtifactSet& arts = artifacts[cell->config_index];
-                if (arts.training)
-                    fo.policy_config.model =
-                        std::shared_ptr<const model::InterferenceModel>(
-                            arts.training, &arts.training->model);
-                else if (campaign.model)
-                    fo.policy_config.model = campaign.model;
-                fo.policy_config.seed = rep_seed;
-
-                fleet::FleetRunner runner(*trace, std::move(fo));
-                cell->runs[static_cast<std::size_t>(rep)] = runner.run();
-                if (cell->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-                // Last repetition of this cell: finalize and stream it out.
-                auto done = std::make_unique<FleetCellResult>();
-                done->config_index = cell->config_index;
-                done->scenario_index = cell->scenario_index;
-                done->policy_index = cell->policy_index;
-                done->nodes = campaign.nodes;
-                done->chips = cfg.num_chips;
-                done->cores = cfg.cores;
-                done->smt_ways = cfg.smt_ways;
-                done->scenario = campaign.scenarios[cell->scenario_index].name;
-                done->fleet_policy = campaign.fleet_policies[cell->policy_index];
-                done->node_policy = campaign.node_policy;
-                done->runs = std::move(cell->runs);
-                done->summary = fleet::summarize(done->runs);
-                emit_ready(std::move(done), cell->index);
-            });
-        }
-    }
-    pool_.wait_idle();  // rethrows the first repetition failure, if any
+    const auto finish = [&](std::size_t index) {
+        const GridCell& cell = cells[index];
+        const uarch::SimConfig& cfg = campaign.node_configs[cell.config];
+        FleetCellResult done;
+        done.config_index = cell.config;
+        done.scenario_index = cell.item;
+        done.policy_index = cell.policy;
+        done.nodes = campaign.nodes;
+        done.chips = cfg.num_chips;
+        done.cores = cfg.cores;
+        done.smt_ways = cfg.smt_ways;
+        done.scenario = campaign.scenarios[cell.item].name;
+        done.fleet_policy = campaign.fleet_policies[cell.policy];
+        done.node_policy = campaign.node_policy;
+        done.runs = std::move(runs[index]);
+        done.summary = fleet::summarize(done.runs);
+        return done;
+    };
+    const auto emit = [&](const FleetCellResult& cell, std::size_t index) {
+        for (FleetAggregator* agg : aggregators) agg->on_cell(cell);
+        if (opts_.log != nullptr)
+            *opts_.log << "[" << (index + 1) << "/" << cells.size() << "] " << cell.scenario
+                       << " / " << cell.fleet_policy
+                       << " p99_slowdown=" << cell.summary.all.p99_slowdown
+                       << " goodput=" << cell.summary.goodput << "\n";
+    };
+    std::vector<FleetCellResult> emitted =
+        run_grid<FleetCellResult>(pool_, cells.size(), reps, run_rep, finish, emit);
 
     for (FleetAggregator* agg : aggregators) agg->finish();
 

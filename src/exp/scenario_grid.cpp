@@ -1,15 +1,14 @@
 #include "exp/scenario_grid.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "exp/grid_engine.hpp"
 #include "obs/trace.hpp"
 #include "workloads/groups.hpp"
 
@@ -105,50 +104,14 @@ ScenarioGridResult ScenarioGridRunner::run(
         }
     }
 
-    // ---- flat cell list in grid order -------------------------------------
+    // ---- every (config, scenario, policy) cell in grid order --------------
     const int reps = std::max(1, campaign.reps);
-    struct CellState {
-        std::size_t index = 0;
-        std::size_t config_index = 0, scenario_index = 0, policy_index = 0;
-        std::vector<scenario::ScenarioResult> runs;
-        std::atomic<int> remaining{0};
-    };
-    std::vector<std::unique_ptr<CellState>> cells;
+    std::vector<GridCell> cells;
     for (std::size_t ci = 0; ci < campaign.configs.size(); ++ci)
         for (std::size_t si = 0; si < campaign.scenarios.size(); ++si)
-            for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-                auto cell = std::make_unique<CellState>();
-                cell->index = cells.size();
-                cell->config_index = ci;
-                cell->scenario_index = si;
-                cell->policy_index = pi;
-                cell->runs.resize(static_cast<std::size_t>(reps));
-                cell->remaining.store(reps, std::memory_order_relaxed);
-                cells.push_back(std::move(cell));
-            }
-
-    // ---- reorder buffer: release finished cells in grid order -------------
-    std::mutex emit_mutex;
-    std::vector<std::unique_ptr<ScenarioCellResult>> finished(cells.size());
-    std::size_t next_emit = 0;
-    std::vector<ScenarioCellResult> emitted;
-    emitted.reserve(cells.size());
-    const auto emit_ready = [&](std::unique_ptr<ScenarioCellResult> done, std::size_t index) {
-        const std::lock_guard lock(emit_mutex);
-        finished[index] = std::move(done);
-        while (next_emit < finished.size() && finished[next_emit]) {
-            ScenarioCellResult& cell = *finished[next_emit];
-            for (ScenarioAggregator* agg : aggregators) agg->on_cell(cell);
-            if (opts_.log != nullptr)
-                *opts_.log << "[" << (next_emit + 1) << "/" << cells.size() << "] "
-                           << cell.scenario << " / " << cell.policy
-                           << " TTmean=" << cell.summary.mean_turnaround
-                           << " util=" << cell.summary.mean_utilization << "\n";
-            emitted.push_back(std::move(cell));
-            finished[next_emit].reset();
-            ++next_emit;
-        }
-    };
+            for (std::size_t pi = 0; pi < policies.size(); ++pi) cells.push_back({ci, si, pi});
+    std::vector<std::vector<scenario::ScenarioResult>> runs(
+        cells.size(), std::vector<scenario::ScenarioResult>(static_cast<std::size_t>(reps)));
 
     // Per-cell flight recording: with SYNPA_TRACE and a SYNPA_TRACE_FILE
     // set, every repetition gets its own tracer and trace file (tagged
@@ -156,68 +119,67 @@ ScenarioGridResult ScenarioGridRunner::run(
     // recorder and memoized traces stay byte-identical.
     const obs::TraceConfig trace_cfg = obs::TraceConfig::from_env();
 
-    // ---- schedule every repetition over the persistent pool ---------------
-    for (const auto& cell_ptr : cells) {
-        CellState* cell = cell_ptr.get();
-        for (int rep = 0; rep < reps; ++rep) {
-            pool_.submit([this, &campaign, &policies, &artifacts, cell, rep, &emit_ready,
-                          &trace_cfg] {
-                const uarch::SimConfig& cfg = campaign.configs[cell->config_index];
-                // Repetitions re-sample the arrival process with a derived
-                // seed; rep 0 keeps the spec verbatim so its memoized trace
-                // is shared with direct scenario_trace callers.
-                scenario::ScenarioSpec spec = campaign.scenarios[cell->scenario_index];
-                if (rep > 0)
-                    spec.seed = common::derive_key(spec.seed, 0x9e9,
-                                                   static_cast<std::uint64_t>(rep));
-                const auto trace = cache_->scenario_trace(spec, cfg);
-                const std::uint64_t rep_seed =
-                    common::derive_key(spec.seed, 0x9001, static_cast<std::uint64_t>(rep));
-                const auto policy = policies[cell->policy_index].make(
-                    artifacts[cell->config_index], rep_seed);
-                // Nested parallelism composes by capping: the grid already
-                // fans out across cells, so the cell's platform only keeps
-                // sim_threads the host has spare (results are identical at
-                // any thread count).
-                uarch::SimConfig cell_cfg = cfg;
-                cell_cfg.sim_threads =
-                    uarch::nested_sim_threads(cfg.sim_threads, pool_.size());
-                uarch::Platform platform(cell_cfg);
-                std::unique_ptr<obs::Tracer> tracer;
-                if (trace_cfg.enabled && !trace_cfg.file.empty()) {
-                    char tag[64];
-                    std::snprintf(tag, sizeof(tag), "c%zus%zup%zur%d", cell->config_index,
-                                  cell->scenario_index, cell->policy_index, rep);
-                    obs::TraceConfig cell_trace = trace_cfg;
-                    cell_trace.file = obs::derive_trace_path(trace_cfg.file, tag);
-                    tracer = std::make_unique<obs::Tracer>(std::move(cell_trace));
-                }
-                scenario::ScenarioRunner runner(
-                    platform, *policy, *trace,
-                    {.max_quanta = campaign.max_quanta,
-                     .record_timeline = campaign.record_timelines,
-                     .tracer = tracer.get()});
-                cell->runs[static_cast<std::size_t>(rep)] = runner.run();
-                if (tracer) tracer->finish();
-                if (cell->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-                // Last repetition of this cell: finalize and stream it out.
-                auto done = std::make_unique<ScenarioCellResult>();
-                done->config_index = cell->config_index;
-                done->scenario_index = cell->scenario_index;
-                done->policy_index = cell->policy_index;
-                done->chips = cfg.num_chips;
-                done->cores = cfg.cores;
-                done->smt_ways = cfg.smt_ways;
-                done->scenario = campaign.scenarios[cell->scenario_index].name;
-                done->policy = policies[cell->policy_index].label;
-                done->adaptive = policies[cell->policy_index].adaptive;
-                done->runs = std::move(cell->runs);
-                done->summary = summarize_runs(done->runs);
-                emit_ready(std::move(done), cell->index);
-            });
+    const auto run_rep = [&](std::size_t index, int rep) {
+        const GridCell& cell = cells[index];
+        const uarch::SimConfig& cfg = campaign.configs[cell.config];
+        // Repetitions re-sample the arrival process with a derived seed; rep
+        // 0 keeps the spec verbatim so its memoized trace is shared with
+        // direct scenario_trace callers.
+        scenario::ScenarioSpec spec = campaign.scenarios[cell.item];
+        if (rep > 0)
+            spec.seed = common::derive_key(spec.seed, 0x9e9, static_cast<std::uint64_t>(rep));
+        const auto trace = cache_->scenario_trace(spec, cfg);
+        const std::uint64_t rep_seed =
+            common::derive_key(spec.seed, 0x9001, static_cast<std::uint64_t>(rep));
+        const auto policy = policies[cell.policy].make(artifacts[cell.config], rep_seed);
+        // Nested parallelism composes by capping: the grid already fans out
+        // across cells, so the cell's platform only keeps sim_threads the
+        // host has spare (results are identical at any thread count).
+        uarch::SimConfig cell_cfg = cfg;
+        cell_cfg.sim_threads = uarch::nested_sim_threads(cfg.sim_threads, pool_.size());
+        uarch::Platform platform(cell_cfg);
+        std::unique_ptr<obs::Tracer> tracer;
+        if (trace_cfg.enabled && !trace_cfg.file.empty()) {
+            char tag[64];
+            std::snprintf(tag, sizeof(tag), "c%zus%zup%zur%d", cell.config, cell.item,
+                          cell.policy, rep);
+            obs::TraceConfig cell_trace = trace_cfg;
+            cell_trace.file = obs::derive_trace_path(trace_cfg.file, tag);
+            tracer = std::make_unique<obs::Tracer>(std::move(cell_trace));
         }
-    }
-    pool_.wait_idle();  // rethrows the first repetition failure, if any
+        scenario::ScenarioRunner runner(platform, *policy, *trace,
+                                        {.max_quanta = campaign.max_quanta,
+                                         .record_timeline = campaign.record_timelines,
+                                         .tracer = tracer.get()});
+        runs[index][static_cast<std::size_t>(rep)] = runner.run();
+        if (tracer) tracer->finish();
+    };
+    const auto finish = [&](std::size_t index) {
+        const GridCell& cell = cells[index];
+        const uarch::SimConfig& cfg = campaign.configs[cell.config];
+        ScenarioCellResult done;
+        done.config_index = cell.config;
+        done.scenario_index = cell.item;
+        done.policy_index = cell.policy;
+        done.chips = cfg.num_chips;
+        done.cores = cfg.cores;
+        done.smt_ways = cfg.smt_ways;
+        done.scenario = campaign.scenarios[cell.item].name;
+        done.policy = policies[cell.policy].label;
+        done.adaptive = policies[cell.policy].adaptive;
+        done.runs = std::move(runs[index]);
+        done.summary = summarize_runs(done.runs);
+        return done;
+    };
+    const auto emit = [&](const ScenarioCellResult& cell, std::size_t index) {
+        for (ScenarioAggregator* agg : aggregators) agg->on_cell(cell);
+        if (opts_.log != nullptr)
+            *opts_.log << "[" << (index + 1) << "/" << cells.size() << "] " << cell.scenario
+                       << " / " << cell.policy << " TTmean=" << cell.summary.mean_turnaround
+                       << " util=" << cell.summary.mean_utilization << "\n";
+    };
+    std::vector<ScenarioCellResult> emitted =
+        run_grid<ScenarioCellResult>(pool_, cells.size(), reps, run_rep, finish, emit);
 
     for (ScenarioAggregator* agg : aggregators) agg->finish();
 

@@ -3,14 +3,16 @@
 // here) and, when the fleet policy wants interference scoring, a node-owned
 // core::SynpaEstimator fed from the node's own observations.
 //
-// The node owns the full per-quantum cycle for its residents — run the
-// platform, observe, retire finished work, let the local policy regroup,
-// rebind — which is exactly the ScenarioRunner open-system loop scoped to
-// one platform.  The fleet runner steps nodes concurrently (they share no
-// mutable state; each node's estimator is touched only by the thread
-// stepping that node) and performs all admission/preemption serially on the
-// coordinator thread between quanta, which is what keeps fleet runs
-// bit-identical at every fleet-thread and SYNPA_SIM_THREADS count.
+// The node's per-quantum cycle for its residents — run the platform,
+// observe, retire finished work, let the local policy regroup, rebind — is
+// sched::NodeLoop, the same open-system loop scenario::ScenarioRunner runs
+// on a single platform; the node adds its WorkItem bookkeeping, the
+// preemption victim order and the scoring estimator.  The fleet runner
+// steps nodes concurrently (they share no mutable state; each node's
+// estimator is touched only by the thread stepping that node) and performs
+// all admission/preemption serially on the coordinator thread between
+// quanta, which is what keeps fleet runs bit-identical at every
+// fleet-thread and SYNPA_SIM_THREADS count.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +22,8 @@
 
 #include "core/estimator.hpp"
 #include "fleet/work_item.hpp"
+#include "sched/node_loop.hpp"
 #include "sched/policy.hpp"
-#include "sched/quantum_loop.hpp"
 #include "uarch/platform.hpp"
 
 namespace synpa::fleet {
@@ -49,6 +51,14 @@ public:
         int task_id = -1;  ///< -1 = no eligible victim on this node
         int priority = 0;
         std::uint64_t insts_retired = 0;
+
+        /// The deterministic victim order: lower priority, then less
+        /// progress, then lower id.
+        bool before(const VictimInfo& other) const noexcept {
+            if (priority != other.priority) return priority < other.priority;
+            if (insts_retired != other.insts_retired) return insts_retired < other.insts_retired;
+            return task_id < other.task_id;
+        }
     };
 
     /// `scoring_model`: when non-null the node builds its own SynpaEstimator
@@ -62,7 +72,7 @@ public:
     const uarch::Platform& platform() const noexcept { return platform_; }
     uarch::Platform& platform() noexcept { return platform_; }
     int capacity() const noexcept { return platform_.hw_contexts(); }
-    int live_count() const noexcept { return static_cast<int>(residents_.size()); }
+    int live_count() const noexcept { return loop_.size(); }
     int free_contexts() const noexcept { return capacity() - live_count(); }
 
     /// The node's interference estimator; null when built without a model.
@@ -71,9 +81,9 @@ public:
     }
 
     /// Binds the item here (creating its AppInstance on first admission,
-    /// reusing it after a preemption) on the least-loaded core, lowest
-    /// global index / lowest free slot on ties — the same CFS-style spread
-    /// the single-node driver uses.  Requires a free context.
+    /// reusing it after a preemption) at sched::admission_slot — the
+    /// least-loaded core, lowest global index / lowest free slot on ties.
+    /// Requires a free context.
     void admit(WorkItem item, std::uint64_t quantum);
 
     /// Predicted marginal interference of admitting `item` here: the
@@ -100,23 +110,14 @@ public:
     std::vector<int> resident_ids() const;
 
 private:
-    struct Resident {
-        WorkItem item;
-        pmu::CounterBank prev_bank{};
-        std::uint64_t insts_prev = 0;
-    };
-
-    /// The slot admit() would use right now (least-loaded spread).
-    uarch::CpuSlot admission_slot() const;
-
     int id_;
     uarch::Platform platform_;
     std::unique_ptr<sched::AllocationPolicy> policy_;
-    /// Lends platform_'s chip shards to policy_ for the node's lifetime;
-    /// declared after both so it detaches before either is destroyed.
-    sched::ChipForkGuard chip_fork_;
+    /// The residents and their quantum loop; borrows platform_ and policy_
+    /// (lending the chip shards for the node's lifetime), so it is
+    /// declared after both and hands them back before either is destroyed.
+    sched::NodeLoop<WorkItem> loop_;
     std::optional<core::SynpaEstimator> estimator_;
-    std::vector<Resident> residents_;  ///< residency order (stable slot order)
 };
 
 }  // namespace synpa::fleet

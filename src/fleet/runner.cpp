@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sched/quantum_loop.hpp"
+
 namespace synpa::fleet {
 namespace {
 
@@ -104,11 +106,7 @@ void FleetRunner::admit_and_preempt(std::uint64_t quantum) {
             for (int n = 0; n < fleet_.node_count(); ++n) {
                 const FleetNode::VictimInfo v = fleet_.node(n).best_victim(item.priority);
                 if (v.task_id < 0) continue;
-                if (victim_node < 0 || v.priority < best.priority ||
-                    (v.priority == best.priority &&
-                     (v.insts_retired < best.insts_retired ||
-                      (v.insts_retired == best.insts_retired &&
-                       v.task_id < best.task_id)))) {
+                if (victim_node < 0 || v.before(best)) {
                     best = v;
                     victim_node = n;
                 }
@@ -142,15 +140,9 @@ void FleetRunner::admit_and_preempt(std::uint64_t quantum) {
         const std::string app = item.app_name;
         fleet_.node(target).admit(std::move(item), quantum);
         ++progress_.admissions;
-        if (tracer_ != nullptr && tracer_->wants(obs::EventKind::kAdmission)) {
-            obs::TraceEvent e;
-            e.kind = obs::EventKind::kAdmission;
-            e.quantum = quantum;
-            e.task = task_id;
-            e.core = target;  // node id (fleet-level admission)
-            e.detail = app;
-            tracer_->emit(std::move(e));
-        }
+        // Fleet-level admission: the event's core is the node id.
+        sched::emit_task_event(tracer_, obs::EventKind::kAdmission, quantum, task_id, target,
+                               0.0, app);
         if (tracer_ != nullptr) tracer_->metrics().counter("fleet.admissions").add();
     }
     queue_ = std::move(waiting);
@@ -243,14 +235,8 @@ FleetResult FleetRunner::run() {
                     done.finish_quantum - static_cast<double>(rec.arrival_quantum);
                 rec.queue_quanta = static_cast<double>(done.item.queue_wait_quanta);
                 rec.preemptions = done.item.preemptions;
-                const double isolated_quanta =
-                    rec.isolated_ipc > 0.0
-                        ? static_cast<double>(rec.service_insts) /
-                              (rec.isolated_ipc * qcycles)
-                        : 0.0;
-                rec.slowdown = isolated_quanta > 0.0
-                                   ? rec.turnaround_quanta / isolated_quanta
-                                   : 0.0;
+                rec.slowdown = trace_.tasks[rec.plan_index].slowdown(rec.turnaround_quanta,
+                                                                     qcycles);
                 rec.completed = true;
                 rec.deadline_met = rec.deadline_quantum <= 0.0 ||
                                    rec.finish_quantum <= rec.deadline_quantum;

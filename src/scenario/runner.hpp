@@ -4,20 +4,21 @@
 // allocations (cores running fewer than smt_ways threads, idle cores)
 // whenever the runnable count differs from smt_ways x cores.
 //
-// Shares its quantum mechanics (sched/quantum_loop.hpp) with the classic
-// ThreadManager; a kClosed trace is delegated to ThreadManager outright, so
-// a scenario with no arrivals/departures and a full chip reproduces the
-// paper-methodology results bit-identically (asserted in
+// The quantum itself is sched::NodeLoop, the open-system loop every
+// fleet::FleetNode also runs (a one-node least-loaded fleet with FIFO
+// admission reproduces this driver bit for bit, asserted in
+// tests/test_fleet.cpp); the runner keeps the arrival queue, the task
+// records and the timeline.  A kClosed trace is delegated to ThreadManager
+// outright, so a scenario with no arrivals/departures and a full chip
+// reproduces the paper-methodology results bit-identically (asserted in
 // tests/test_scenario.cpp).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "pmu/counters.hpp"
 #include "scenario/scenario.hpp"
 #include "sched/policy.hpp"
 #include "uarch/platform.hpp"
@@ -80,10 +81,11 @@ public:
     struct Options {
         std::uint64_t max_quanta = 20'000;  ///< safety cap
         bool record_timeline = true;
-        /// Flight recorder (not owned; may be null or disabled).  Closed
-        /// scenarios hand it to the delegated ThreadManager; the open
-        /// driver stamps quantum boundaries, phase wall-clock, and
-        /// admission/retirement/migration events itself.
+        /// Flight recorder (not owned; may be null or disabled), attached
+        /// to the platform and policy for this run only.  Closed scenarios
+        /// hand it to the delegated ThreadManager; open ones to the node
+        /// loop, which stamps quantum boundaries, phase wall-clock, and
+        /// admission/retirement/migration events.
         obs::Tracer* tracer = nullptr;
         /// Invariant hook for the property suite: called after every
         /// quantum's rebind, while the placement is live.
@@ -102,27 +104,13 @@ public:
     ScenarioResult run();
 
 private:
-    struct Live {
-        std::size_t plan_index = 0;
-        std::unique_ptr<apps::AppInstance> task;
-        std::uint64_t admit_quantum = 0;
-        pmu::CounterBank prev_bank;
-        std::uint64_t insts_prev = 0;
-    };
-
     ScenarioResult run_closed();
     ScenarioResult run_open();
-    void admit(std::uint64_t quantum);
-    int queued_at(std::uint64_t quantum) const;
 
     uarch::Platform& platform_;
     sched::AllocationPolicy& policy_;
     const ScenarioTrace& trace_;
     Options opts_;
-    obs::Tracer* tracer_ = nullptr;  ///< opts_.tracer when enabled, else null
-    std::vector<Live> live_;       ///< admission order
-    std::size_t next_plan_ = 0;    ///< first not-yet-admitted plan index
-    int next_task_id_ = 1;
 };
 
 }  // namespace synpa::scenario

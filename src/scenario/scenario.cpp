@@ -176,10 +176,7 @@ ScenarioTrace build_trace(const ScenarioSpec& spec, const uarch::SimConfig& cfg)
         const bool lc = spec.lc_fraction > 0.0 && slo_rng.chance(spec.lc_fraction);
         task.slo = lc ? SloClass::kLatencyCritical : SloClass::kBatch;
         task.priority = lc ? spec.lc_priority : spec.batch_priority;
-        const double isolated_quanta =
-            base.ipc > 0.0
-                ? static_cast<double>(task.service_insts) / (base.ipc * qcycles)
-                : 0.0;
+        const double isolated_quanta = task.isolated_quanta(qcycles);
         const double slack = lc ? spec.lc_deadline_slack : spec.batch_deadline_slack;
         task.deadline_quantum = isolated_quanta > 0.0
                                     ? static_cast<double>(task.arrival_quantum) +

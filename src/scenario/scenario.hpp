@@ -106,6 +106,19 @@ struct PlannedTask {
     SloClass slo = SloClass::kBatch;
     int priority = 0;               ///< admission priority (class default)
     double deadline_quantum = 0.0;  ///< absolute deadline; 0 = no deadline
+
+    /// The service demand in quanta of `cycles_per_quantum` cycles at the
+    /// isolated IPC (0 when that IPC is unknown).
+    double isolated_quanta(double cycles_per_quantum) const noexcept {
+        return isolated_ipc > 0.0
+                   ? static_cast<double>(service_insts) / (isolated_ipc * cycles_per_quantum)
+                   : 0.0;
+    }
+    /// `turnaround_quanta` over isolated_quanta() (0 when that is 0).
+    double slowdown(double turnaround_quanta, double cycles_per_quantum) const noexcept {
+        const double isolated = isolated_quanta(cycles_per_quantum);
+        return isolated > 0.0 ? turnaround_quanta / isolated : 0.0;
+    }
 };
 
 /// A fully sampled scenario, ready to run.  Tasks are sorted by arrival

@@ -90,7 +90,7 @@ using CoreAllocation = std::vector<CoreGroup>;
 /// Runs run_chip(c) exactly once for every c in [0, chips) and returns only
 /// after every call finished; the calls may run concurrently on other
 /// threads.  Drivers build one from their platform's chip shards
-/// (uarch::Platform::run_chips, see ChipForkGuard in sched/quantum_loop.hpp).
+/// (uarch::Platform::run_chips, see AttachGuard in sched/quantum_loop.hpp).
 using ChipFork = std::function<void(int chips, const std::function<void(int)>& run_chip)>;
 
 /// What the manager hands the policy about one task after a quantum.
@@ -148,10 +148,11 @@ public:
     /// two (e.g. to keep a behaviour estimate warm for a possible return).
     virtual void on_task_preempted(int task_id);
 
-    /// Observability hook: the driver attaches its flight recorder before
-    /// the run so instrumented policies (SYNPA, the online wrapper) can emit
-    /// allocation/alarm/refit events.  The tracer outlives the run; nullptr
-    /// detaches.  The default ignores it — tracing never changes decisions.
+    /// Observability hook: the driver attaches its flight recorder for the
+    /// span of one run (sched::AttachGuard) so instrumented policies (SYNPA,
+    /// the online wrapper) can emit allocation/alarm/refit events, and
+    /// detaches it (nullptr) when the run ends.  The default ignores it —
+    /// tracing never changes decisions.
     virtual void set_tracer(obs::Tracer* tracer) { (void)tracer; }
 
     /// Execution hook: the driver lends its platform's chip shards for the

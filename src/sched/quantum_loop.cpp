@@ -117,8 +117,24 @@ double finish_fraction(std::uint64_t insts_prev, std::uint64_t insts_now,
     return progressed > 0.0 ? needed / progressed : 1.0;
 }
 
-ChipForkGuard::ChipForkGuard(AllocationPolicy& policy, uarch::Platform& platform)
-    : policy_(policy) {
+void emit_task_event(obs::Tracer* tracer, obs::EventKind kind, std::uint64_t quantum,
+                     int task_id, int core, double value, const std::string& app_name) {
+    if (tracer == nullptr || !tracer->wants(kind)) return;
+    obs::TraceEvent e;
+    e.kind = kind;
+    e.quantum = quantum;
+    e.task = task_id;
+    e.core = core;
+    e.value = value;
+    e.detail = app_name;
+    tracer->emit(std::move(e));
+}
+
+AttachGuard::AttachGuard(AllocationPolicy& policy, uarch::Platform& platform,
+                         obs::Tracer* tracer)
+    : policy_(policy),
+      platform_(platform),
+      tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr) {
     policy_.set_chip_fork([&platform](int chips, const std::function<void(int)>& run_chip) {
         if (chips == platform.chip_count()) {
             platform.run_chips(run_chip);
@@ -126,8 +142,18 @@ ChipForkGuard::ChipForkGuard(AllocationPolicy& policy, uarch::Platform& platform
         }
         for (int c = 0; c < chips; ++c) run_chip(c);
     });
+    if (tracer_ != nullptr) {
+        platform_.set_tracer(tracer_);
+        policy_.set_tracer(tracer_);
+    }
 }
 
-ChipForkGuard::~ChipForkGuard() { policy_.set_chip_fork({}); }
+AttachGuard::~AttachGuard() {
+    policy_.set_chip_fork({});
+    if (tracer_ != nullptr) {
+        platform_.set_tracer(nullptr);
+        policy_.set_tracer(nullptr);
+    }
+}
 
 }  // namespace synpa::sched

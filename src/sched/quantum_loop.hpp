@@ -1,12 +1,14 @@
-// The quantum-loop primitives shared by the classic methodology driver
-// (ThreadManager) and the open-system driver (scenario::ScenarioRunner).
+// The quantum-loop primitives every driver shares: the classic methodology
+// driver (ThreadManager) and the open-system node loop (sched::NodeLoop,
+// which scenario::ScenarioRunner and each fleet::FleetNode run).
 //
-// Both drivers execute the same per-quantum cycle — run the platform,
-// observe every live task, let the policy regroup, rebind — and differ only
-// in what happens at a task's finish line (relaunch-in-place vs. retire)
-// and in how tasks enter the system (fixed slots vs. arrivals).  Keeping
-// the mechanics here guarantees the two modes measure and migrate
-// identically, on one chip or many.
+// Every driver executes the same per-quantum cycle — run the platform,
+// observe every live task, let the policy regroup, rebind — and they differ
+// only in what happens at a task's finish line (relaunch-in-place vs.
+// retire) and in how tasks enter the system (fixed slots vs. arrivals).
+// Keeping the mechanics here guarantees every mode measures and migrates
+// identically, on one chip or many, and AttachGuard is the one place a
+// driver lends its chip shards and its tracer for a run.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 
 namespace synpa::obs {
 class Tracer;
+enum class EventKind : unsigned;
 }  // namespace synpa::obs
 
 namespace synpa::sched {
@@ -66,20 +69,34 @@ TaskObservation observe_task(const uarch::Platform& platform, apps::AppInstance&
 double finish_fraction(std::uint64_t insts_prev, std::uint64_t insts_now,
                        std::uint64_t target);
 
-/// Lends the platform's chip shards to the policy's decide phase
-/// (AllocationPolicy::set_chip_fork) for the guard's lifetime and detaches
-/// on destruction, so no policy outlives the platform's engine while
-/// holding a fork into it.  A fork over a chip count other than the
-/// platform's runs serially.
-class ChipForkGuard {
+/// Emits a task event (admission, retirement) when `tracer` is set and
+/// wants `kind`; `core` is the global core, `value` the kind's measurement.
+void emit_task_event(obs::Tracer* tracer, obs::EventKind kind, std::uint64_t quantum,
+                     int task_id, int core, double value, const std::string& app_name);
+
+/// Lends a run's execution and observability hooks to the policy and
+/// platform for the guard's lifetime: the platform's chip shards as the
+/// policy's decide-phase fork (AllocationPolicy::set_chip_fork; a fork over
+/// a chip count other than the platform's runs serially) and, when
+/// `tracer` is enabled, the flight recorder on both the platform and the
+/// policy.  The destructor detaches what it attached, so no later run on
+/// the same platform and policy writes into this run's tracer, and no
+/// policy outlives the platform's engine while holding a fork into it.
+class AttachGuard {
 public:
-    ChipForkGuard(AllocationPolicy& policy, uarch::Platform& platform);
-    ~ChipForkGuard();
-    ChipForkGuard(const ChipForkGuard&) = delete;
-    ChipForkGuard& operator=(const ChipForkGuard&) = delete;
+    AttachGuard(AllocationPolicy& policy, uarch::Platform& platform,
+                obs::Tracer* tracer = nullptr);
+    ~AttachGuard();
+    AttachGuard(const AttachGuard&) = delete;
+    AttachGuard& operator=(const AttachGuard&) = delete;
+
+    /// The attached tracer: `tracer` when it is enabled, else null.
+    obs::Tracer* tracer() const noexcept { return tracer_; }
 
 private:
     AllocationPolicy& policy_;
+    uarch::Platform& platform_;
+    obs::Tracer* tracer_;
 };
 
 }  // namespace synpa::sched

@@ -17,12 +17,8 @@ ThreadManager::ThreadManager(uarch::Platform& platform, AllocationPolicy& policy
     if (specs.size() != static_cast<std::size_t>(platform_.hw_contexts()))
         throw std::invalid_argument("ThreadManager: task count must fill the platform");
     // Null out a disabled tracer once, so every per-quantum site pays a
-    // single pointer test.
-    if (opts_.tracer != nullptr && opts_.tracer->enabled()) {
-        tracer_ = opts_.tracer;
-        platform_.set_tracer(tracer_);
-        policy_.set_tracer(tracer_);
-    }
+    // single pointer test; run() attaches it for the run's span.
+    if (opts_.tracer != nullptr && opts_.tracer->enabled()) tracer_ = opts_.tracer;
     slots_.reserve(specs.size());
     for (const TaskSpec& spec : specs) {
         Slot slot;
@@ -45,7 +41,7 @@ void ThreadManager::apply_allocation(const CoreAllocation& alloc) {
 }
 
 RunResult ThreadManager::run() {
-    const ChipForkGuard chip_fork(policy_, platform_);
+    const AttachGuard attach(policy_, platform_, tracer_);
     RunResult result;
     result.policy_name = policy_.name();
     result.traces.resize(slots_.size());
@@ -154,25 +150,10 @@ RunResult ThreadManager::run() {
                     platform_.bind(*slot.task, where);
                     platform_.forget_task(old_id);  // the old id never returns
                     policy_.on_task_replaced(old_id, slot.task->id());
-                    if (tracer_ != nullptr && tracer_->wants(obs::EventKind::kRetirement)) {
-                        obs::TraceEvent e;
-                        e.kind = obs::EventKind::kRetirement;
-                        e.quantum = q;
-                        e.task = old_id;
-                        e.core = o.core;
-                        e.value = out.finish_quantum;
-                        e.detail = slot.spec.app_name;
-                        tracer_->emit(std::move(e));
-                    }
-                    if (tracer_ != nullptr && tracer_->wants(obs::EventKind::kAdmission)) {
-                        obs::TraceEvent e;
-                        e.kind = obs::EventKind::kAdmission;
-                        e.quantum = q;
-                        e.task = slot.task->id();
-                        e.core = where.core;
-                        e.detail = slot.spec.app_name;
-                        tracer_->emit(std::move(e));
-                    }
+                    emit_task_event(tracer_, obs::EventKind::kRetirement, q, old_id, o.core,
+                                    out.finish_quantum, slot.spec.app_name);
+                    emit_task_event(tracer_, obs::EventKind::kAdmission, q, slot.task->id(),
+                                    where.core, 0.0, slot.spec.app_name);
                     replaced[old_id] = slot.task->id();
                     slot.prev_bank = pmu::CounterBank{};
                     slot.insts_at_last_quantum = 0;

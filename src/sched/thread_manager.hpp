@@ -80,7 +80,8 @@ public:
         /// Flight recorder (not owned; may be null or disabled).  The
         /// manager stamps quantum boundaries and phase wall-clock, emits
         /// admission/retirement/migration events, and attaches the tracer
-        /// to the platform and policy for their own event sites.
+        /// to the platform and policy for their own event sites for the
+        /// span of run() (sched::AttachGuard).
         obs::Tracer* tracer = nullptr;
         /// Invariant hook for the property suite: called after every
         /// quantum's rebind, while the placement is live.

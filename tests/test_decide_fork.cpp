@@ -1,6 +1,6 @@
 // The decide phase's chip fork: SynpaPolicy::reallocate prepares every
 // chip serially, solves the chips' matchings on the driver's chip shards
-// (AllocationPolicy::set_chip_fork, installed by sched::ChipForkGuard) and
+// (AllocationPolicy::set_chip_fork, installed by sched::AttachGuard) and
 // places serially.  The contract pinned here:
 //
 //  * a 4-chip SMT-2 open scenario is bit-identical at sim_threads 1, 2 and
@@ -27,6 +27,7 @@
 
 #include "core/synpa_policy.hpp"
 #include "model/interference_model.hpp"
+#include "obs/trace.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "sched/policy.hpp"
@@ -298,20 +299,42 @@ TEST(DecideFork, MemoHitsSkipsAndForksMatchTheSerialPolicy) {
 TEST(DecideFork, GuardDetachesAndForeignChipCountsRunSerially) {
     uarch::Platform platform(chip4_config(2, 2));
     sched::ChipFork seen;
+    obs::Tracer* seen_tracer = nullptr;
     struct Capture final : sched::AllocationPolicy {
         sched::ChipFork* out;
-        explicit Capture(sched::ChipFork* o) : out(o) {}
+        obs::Tracer** tracer_out;
+        Capture(sched::ChipFork* o, obs::Tracer** t) : out(o), tracer_out(t) {}
         std::string name() const override { return "capture"; }
         void set_chip_fork(const sched::ChipFork& fork) override { *out = fork; }
-    } capture(&seen);
+        void set_tracer(obs::Tracer* tracer) override { *tracer_out = tracer; }
+    } capture(&seen, &seen_tracer);
     {
-        const sched::ChipForkGuard guard(capture, platform);
+        const sched::AttachGuard guard(capture, platform);
         ASSERT_TRUE(static_cast<bool>(seen));
+        EXPECT_EQ(guard.tracer(), nullptr);
         std::vector<int> order;
         seen(3, [&order](int c) { order.push_back(c); });  // not the platform's 4
         EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
     }
     EXPECT_FALSE(static_cast<bool>(seen));
+
+    // An enabled tracer rides along for the guard's lifetime only; a
+    // disabled one is never attached.
+    obs::TraceConfig tc;
+    tc.enabled = true;
+    obs::Tracer tracer(tc);
+    {
+        const sched::AttachGuard guard(capture, platform, &tracer);
+        EXPECT_EQ(guard.tracer(), &tracer);
+        EXPECT_EQ(seen_tracer, &tracer);
+    }
+    EXPECT_EQ(seen_tracer, nullptr);
+    obs::Tracer disabled{obs::TraceConfig{}};
+    {
+        const sched::AttachGuard guard(capture, platform, &disabled);
+        EXPECT_EQ(guard.tracer(), nullptr);
+        EXPECT_EQ(seen_tracer, nullptr);
+    }
 }
 
 }  // namespace

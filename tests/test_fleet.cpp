@@ -7,6 +7,7 @@
 // single node.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -19,8 +20,10 @@
 #include "fleet/runner.hpp"
 #include "model/interference_model.hpp"
 #include "obs/trace.hpp"
+#include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "sched/registry.hpp"
+#include "uarch/platform.hpp"
 
 namespace {
 
@@ -304,9 +307,10 @@ TEST(FleetPreemption, DisabledPreemptionMakesLcWait) {
     EXPECT_EQ(result.preemptions, 0u);
     for (const fleet::FleetTaskRecord& rec : result.tasks) {
         EXPECT_EQ(rec.preemptions, 0u);
-        if (rec.slo == scenario::SloClass::kLatencyCritical)
+        if (rec.slo == scenario::SloClass::kLatencyCritical) {
             EXPECT_GT(rec.admit_quantum, rec.arrival_quantum)
                 << "LC request should queue behind the saturated node";
+        }
     }
 }
 
@@ -518,6 +522,56 @@ TEST(FleetDeterminism, SimThreadsByFleetThreadsMatrix) {
                 << " fleet_threads=" << fleet_threads << " diverged";
         }
     }
+}
+
+/// One node behind fleet-least-loaded with every task at the same priority
+/// (lc_fraction 0, so admission is FIFO) is the single-node open driver:
+/// both run the same node loop, so ids, admissions, queueing, exact finish
+/// bits and migrations must agree task for task.
+TEST(FleetDifferential, OneNodeFleetIsTheOpenScenarioDriver) {
+    const uarch::SimConfig cfg = node_config(/*chips=*/2, /*cores=*/2, /*smt_ways=*/2);
+    scenario::ScenarioSpec spec = fleet_spec();
+    spec.lc_fraction = 0.0;
+    spec.initial_tasks = 12;  // more than the node's 8 contexts: arrivals queue
+    spec.arrival_rate = 1.2;
+    spec.horizon_quanta = 30;
+    const scenario::ScenarioTrace trace = scenario::build_trace(spec, cfg);
+
+    uarch::Platform platform(cfg);
+    const auto policy = sched::make_policy("synpa", test_policy_config());
+    scenario::ScenarioRunner runner(platform, *policy, trace,
+                                    {.max_quanta = 5'000, .record_timeline = false});
+    const scenario::ScenarioResult single = runner.run();
+
+    fleet::FleetOptions fo = fleet_options("fleet-least-loaded", /*nodes=*/1);
+    fo.node_config = cfg;
+    fleet::FleetRunner fleet_runner(trace, std::move(fo));
+    const fleet::FleetResult fleet = fleet_runner.run();
+
+    ASSERT_TRUE(single.completed);
+    ASSERT_TRUE(fleet.completed);
+    ASSERT_EQ(single.tasks.size(), fleet.tasks.size());
+    std::size_t queued = 0;
+    for (std::size_t i = 0; i < single.tasks.size(); ++i) {
+        const scenario::TaskRecord& a = single.tasks[i];
+        const fleet::FleetTaskRecord& b = fleet.tasks[i];
+        EXPECT_EQ(a.task_id, b.task_id) << "plan " << i;
+        EXPECT_EQ(a.admit_quantum, b.admit_quantum) << "plan " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.queue_quanta),
+                  std::bit_cast<std::uint64_t>(b.queue_quanta))
+            << "plan " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.finish_quantum),
+                  std::bit_cast<std::uint64_t>(b.finish_quantum))
+            << "plan " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.slowdown),
+                  std::bit_cast<std::uint64_t>(b.slowdown))
+            << "plan " << i;
+        if (a.queue_quanta > 0.0) ++queued;
+    }
+    EXPECT_GT(queued, 0u) << "the scenario never queued: it tests no admission order";
+    EXPECT_GT(single.migrations, 0u);
+    EXPECT_EQ(single.migrations, fleet.migrations);
+    EXPECT_EQ(single.cross_chip_migrations, fleet.cross_chip_migrations);
 }
 
 }  // namespace

@@ -364,6 +364,59 @@ TEST(TracedDeterminism, ChipEventStreamIdenticalAcrossThreadCounts) {
     EXPECT_EQ(event_stream(4), serial);
 }
 
+// ------------------------------------------------------- tracer lifetime --
+
+/// Every event a tracer accepted, retained or dropped by its ring.
+std::uint64_t events_seen(const obs::Tracer& tracer) {
+    return tracer.events().size() + tracer.dropped_events();
+}
+
+TEST(TracerLifetime, ClosedRunDetachesWhenItEnds) {
+    // A tracer belongs to one run: a later untraced run on the same platform
+    // and policy must not write into it (nor into freed memory once it is
+    // gone).
+    uarch::Platform platform(shape_config(2, 2, 1));
+    const auto policy = sched::make_policy("synpa", policy_config());
+    const auto specs = closed_specs(platform.hw_contexts());
+    obs::Tracer tracer(memory_trace_config());
+    sched::ThreadManager traced(platform, *policy, specs,
+                                {.max_quanta = 400, .record_traces = false, .tracer = &tracer});
+    traced.run();
+    const std::uint64_t seen = events_seen(tracer);
+    ASSERT_GT(seen, 0u);
+    // A closed run leaves the platform full; clear it (while the first
+    // manager still owns the instances) so the second run can place.
+    for (const apps::AppInstance* task : platform.bound_tasks()) {
+        platform.unbind(task->id());
+        platform.forget_task(task->id());
+    }
+
+    sched::ThreadManager untraced(platform, *policy, specs,
+                                  {.max_quanta = 400, .record_traces = false});
+    untraced.run();
+    EXPECT_EQ(events_seen(tracer), seen);
+}
+
+TEST(TracerLifetime, OpenRunDetachesWhenItEnds) {
+    const uarch::SimConfig cfg = shape_config(2, 2, 1);
+    const scenario::ScenarioTrace trace = scenario::build_trace(open_spec(), cfg);
+    uarch::Platform platform(cfg);
+    const auto policy = sched::make_policy("synpa", policy_config());
+    obs::Tracer tracer(memory_trace_config());
+    scenario::ScenarioRunner traced(platform, *policy, trace,
+                                    {.max_quanta = 400,
+                                     .record_timeline = false,
+                                     .tracer = &tracer});
+    traced.run();
+    const std::uint64_t seen = events_seen(tracer);
+    ASSERT_GT(seen, 0u);
+
+    scenario::ScenarioRunner untraced(platform, *policy, trace,
+                                      {.max_quanta = 400, .record_timeline = false});
+    EXPECT_TRUE(untraced.run().completed);
+    EXPECT_EQ(events_seen(tracer), seen);
+}
+
 // ------------------------------------------------------- event structure --
 
 TEST(TraceEvents, ClosedRunEmitsExpectedKindsWithMonotoneQuanta) {

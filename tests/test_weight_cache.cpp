@@ -20,6 +20,7 @@
 #include "core/weight_cache.hpp"
 #include "matching/matching.hpp"
 #include "model/interference_model.hpp"
+#include "obs/trace.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "sched/policy.hpp"
@@ -588,6 +589,46 @@ TEST(WeightCacheIdentity, CachedRunsMatchUncachedEverywhere) {
                     << chips;
                 EXPECT_GT(cached_lookups, 0u);  // the cached run really cached
             }
+        }
+    }
+}
+
+TEST(WeightCacheIdentity, TracingLeavesCacheStatisticsUnchanged) {
+    // Tracing only reads: the allocation event prices its groups without
+    // touching the cache, so a traced run reports the same hits, misses and
+    // reuse (and therefore the same hit_rate gauge) as the untraced run.
+    for (const int width : {1, 2, 4}) {
+        const uarch::SimConfig cfg = sweep_config(2, width);
+        const scenario::ScenarioTrace trace = scenario::build_trace(sweep_open_spec(), cfg);
+        std::vector<WeightCache::Stats> stats;
+        std::vector<std::string> signatures;
+        for (const bool traced : {false, true}) {
+            obs::TraceConfig tc;
+            tc.enabled = traced;
+            obs::Tracer tracer(tc);
+            uarch::Platform platform(cfg);
+            SynpaPolicy::Options opts;
+            opts.weight_cache = true;
+            SynpaPolicy policy(model::InterferenceModel::paper_table4(), opts);
+            scenario::ScenarioRunner runner(platform, policy, trace,
+                                            {.max_quanta = 3'000, .tracer = &tracer});
+            signatures.push_back(run_signature(runner.run()));
+            stats.push_back(policy.weight_cache_stats());
+            if (traced) {
+                const obs::Counter* hits = tracer.metrics().find_counter("weight_cache.hits");
+                ASSERT_NE(hits, nullptr) << "width " << width;
+                EXPECT_EQ(hits->value(), stats.back().hits) << "width " << width;
+            }
+        }
+        EXPECT_EQ(signatures[0], signatures[1]) << "width " << width;
+        EXPECT_EQ(stats[0].hits, stats[1].hits) << "width " << width;
+        EXPECT_EQ(stats[0].misses, stats[1].misses) << "width " << width;
+        EXPECT_EQ(stats[0].solve_reuse, stats[1].solve_reuse) << "width " << width;
+        EXPECT_EQ(stats[0].group_evictions, stats[1].group_evictions) << "width " << width;
+        // SMT-1 on this small shape places every quantum without a cost
+        // lookup; the wider shapes must really exercise the cache.
+        if (width > 1) {
+            EXPECT_GT(stats[0].hits + stats[0].misses, 0u) << "width " << width;
         }
     }
 }
