@@ -1,7 +1,8 @@
 // Micro-benchmark for the pair-selection step (paper §IV-B Step 3): the
 // Blossom algorithm vs the exact subset DP vs greedy, across thread counts.
 // The paper's motivation: the number of combinations explodes with cores,
-// so the selection must stay cheap.
+// so the selection must stay cheap.  BM_SynpaReallocate times the whole
+// decide phase (Steps 1-3) of one SynpaPolicy::reallocate call.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -9,8 +10,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/synpa_policy.hpp"
 #include "matching/matching.hpp"
 #include "model/interference_model.hpp"
+#include "sched/policy.hpp"
 
 namespace {
 
@@ -130,6 +133,66 @@ void BM_GroupingWarmArrival(benchmark::State& state) {
         static_cast<double>(calls) / static_cast<double>(state.iterations());
 }
 
+// ------------------------------------------------ whole decide phase --
+// One SynpaPolicy::reallocate per iteration on a fully loaded node: Step 1
+// (inversion + EMA), Step 2 (every candidate pair or group cost) and Step 3
+// (Blossom with hysteresis at SMT-2, k-way grouping at SMT-4), serial.
+// Every iteration redraws each task's observed category fractions from a
+// fixed-seed stream, so every estimate moves each quantum as it does under
+// churn, and observes the tasks where the previous iteration placed them.
+// The O(n) batch build is inside the timed region.  Shapes follow
+// perfbench's workloads: up to 128 contexts on one chip, 512 on 4 chips.
+
+/// Observations for the placement `alloc` (global core ids) with freshly
+/// drawn fractions.
+std::vector<sched::TaskObservation> observe_allocation(const sched::CoreAllocation& alloc,
+                                                       int smt_ways, int chips,
+                                                       common::Rng& rng) {
+    const int cores = static_cast<int>(alloc.size());
+    const int cores_per_chip = cores / chips;
+    std::vector<sched::TaskObservation> out;
+    for (int c = 0; c < cores; ++c) {
+        const std::span<const int> members = alloc[static_cast<std::size_t>(c)].members();
+        for (const int id : members) {
+            sched::TaskObservation o;
+            o.task_id = id;
+            o.core = c;
+            o.chip = c / cores_per_chip;
+            for (const int other : members)
+                if (other != id) o.corunner_task_ids.push_back(other);
+            o.corunner_task_id = o.corunner_task_ids.empty() ? -1 : o.corunner_task_ids[0];
+            o.smt_ways = smt_ways;
+            o.num_chips = chips;
+            o.total_cores = cores;
+            model::CategoryVector f{};
+            double sum = 0.0;
+            for (double& x : f) sum += (x = rng.uniform(0.05, 1.0));
+            o.breakdown.cycles = 10'000;
+            for (std::size_t k = 0; k < model::kCategoryCount; ++k)
+                o.breakdown.categories[k] = f[k] / sum * 10'000.0;
+            out.push_back(std::move(o));
+        }
+    }
+    return out;
+}
+
+void BM_SynpaReallocate(benchmark::State& state) {
+    const int contexts = static_cast<int>(state.range(0));
+    const int smt_ways = static_cast<int>(state.range(1));
+    const int chips = contexts > 128 ? contexts / 128 : 1;
+    core::SynpaPolicy policy(model::InterferenceModel::paper_table4());
+    std::vector<int> ids(static_cast<std::size_t>(contexts));
+    for (int i = 0; i < contexts; ++i) ids[static_cast<std::size_t>(i)] = i + 1;
+    sched::CoreAllocation alloc = policy.initial_allocation(ids, smt_ways);
+    common::Rng rng(7, 0xdec1);
+    for (auto _ : state) {
+        const std::vector<sched::TaskObservation> obs =
+            observe_allocation(alloc, smt_ways, chips, rng);
+        alloc = policy.reallocate(obs);
+        benchmark::DoNotOptimize(alloc.data());
+    }
+}
+
 }  // namespace
 
 // 8 = the paper's workloads (4 cores), 16/56 = one-socket scale-out,
@@ -143,3 +206,9 @@ BENCHMARK(BM_BruteForceMinPerfect)->Arg(8)->Arg(10);
 // the ISSUE acceptance compares these two at n=512 (warm >= 5x cheaper).
 BENCHMARK(BM_GroupingColdResolve)->Arg(128)->Arg(512)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GroupingWarmArrival)->Arg(128)->Arg(512)->Unit(benchmark::kMillisecond);
+// {contexts, SMT width}: 8 = the paper's node, 128 = one 64-core SMT-2
+// chip (32 cores at SMT-4), 512 = the four-chip node of open512-churn.
+BENCHMARK(BM_SynpaReallocate)
+    ->ArgsProduct({{8, 128, 512}, {2, 4}})
+    ->ArgNames({"contexts", "smt"})
+    ->Unit(benchmark::kMicrosecond);

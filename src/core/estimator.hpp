@@ -11,7 +11,6 @@
 // quantifies.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -23,28 +22,10 @@
 
 namespace synpa::core {
 
-/// The SYNPA_EMA_DEADBAND default (0.0 = legacy exact-EMA behaviour).
-/// Nonzero values freeze a task's estimate while updates stay inside the
-/// deadband, which is what lets the weight cache and whole-chip solve memo
-/// reach a steady state on noisy platforms.  Read once per Options
-/// construction through common::env_double.
-double ema_deadband_default();
-
 class SynpaEstimator {
 public:
     struct Options {
         double ema_alpha = 0.5;  ///< weight of the newest inversion result
-        /// Noise deadband for the EMA (absolute, per category fraction):
-        /// when a blended update would move every category by less than
-        /// this, the stored estimate is kept verbatim — and, crucially, its
-        /// estimate epoch does not move, so every cached cost built on it
-        /// stays valid.  Sub-noise drift carries no allocation signal (the
-        /// matching decisions it could flip are exactly the near-ties the
-        /// hysteresis layer suppresses anyway), while real phase changes
-        /// move fractions by far more than any sane deadband and update
-        /// normally.  0 (the default, knob SYNPA_EMA_DEADBAND) disables the
-        /// filter and reproduces the legacy estimator bit for bit.
-        double ema_deadband = ema_deadband_default();
         model::ModelInverter::Options inversion{};
     };
 
@@ -102,31 +83,6 @@ public:
     /// Drops a retired task's estimate (open-system departures).
     void forget(int task_id);
 
-    // ------------------------------------------------ estimate epochs --
-    // Freshness counters backing core::WeightCache.  A task's epoch moves
-    // exactly when the value estimate(id) returns changes: observe() bumps
-    // only when the EMA result differs bitwise from the stored estimate
-    // (steady-state estimates reach a floating-point fixed point, so
-    // long-running tasks stop bumping), and transfer/forget/bump_epoch
-    // always bump.  Epochs are monotone and never reset — a (task, epoch)
-    // pair therefore names one exact estimate value for the lifetime of
-    // the estimator, which is what makes cached costs keyed on epochs
-    // bit-identical to recomputation.
-
-    /// Current epoch for a task; 0 for a task never observed or bumped
-    /// (estimate(id) then returns the uniform prior).
-    std::uint64_t estimate_epoch(int task_id) const {
-        const std::uint64_t* e = epochs_.find(task_id);
-        return e != nullptr ? *e : 0;
-    }
-
-    /// Marks a task's estimate dirty without touching its value — the hook
-    /// phase-change alarms use to force cached costs to recompute.
-    void bump_epoch(int task_id) { ++epochs_[task_id]; }
-
-    /// Bumped by every set_model; caches keyed on coefficients watch this.
-    std::uint64_t model_epoch() const noexcept { return model_epoch_; }
-
     const model::InterferenceModel& model() const noexcept { return model_; }
 
     /// Swaps the interference model while keeping every per-task estimate —
@@ -135,20 +91,16 @@ public:
     void set_model(model::InterferenceModel model) {
         model_ = std::move(model);
         flat_ = model::FlatModel(model_);
-        ++model_epoch_;
     }
 
 private:
-    /// EMA-blends `fresh` into the task's stored estimate, bumping the
-    /// task's epoch iff the stored value changed bitwise.
+    /// EMA-blends `fresh` into the task's stored estimate.
     void ema_update(int id, const model::CategoryVector& fresh);
 
     model::InterferenceModel model_;
     model::FlatModel flat_;  ///< SoA snapshot of model_ for the hot paths
     Options opts_;
     common::FlatIdMap<model::CategoryVector> estimates_;
-    common::FlatIdMap<std::uint64_t> epochs_;  ///< monotone; never erased
-    std::uint64_t model_epoch_ = 0;
 };
 
 }  // namespace synpa::core

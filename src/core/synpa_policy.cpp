@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/flat_map.hpp"
 #include "obs/trace.hpp"
 #include "sched/baselines.hpp"
@@ -78,8 +77,6 @@ public:
 
 }  // namespace
 
-bool weight_cache_default() { return common::env_int("SYNPA_WEIGHT_CACHE", 1) != 0; }
-
 const char* objective_name(Objective objective) noexcept {
     switch (objective) {
         case Objective::kTotalSlowdown: return "total";
@@ -132,9 +129,7 @@ void SynpaPolicy::set_model(model::InterferenceModel model) {
 
 void SynpaPolicy::reset_estimate(int task_id) { estimator_.forget(task_id); }
 
-void SynpaPolicy::on_phase_alarm(int task_id) { estimator_.bump_epoch(task_id); }
-
-double SynpaPolicy::pair_cost_uncached(int task_u, int task_v) const {
+double SynpaPolicy::pair_cost(int task_u, int task_v) const {
     if (opts_.objective == Objective::kTotalSlowdown)
         return estimator_.pair_weight(task_u, task_v);
     const std::array<int, 2> ids = {task_u, task_v};
@@ -142,7 +137,7 @@ double SynpaPolicy::pair_cost_uncached(int task_u, int task_v) const {
     return objective_cost(opts_.objective, slowdown_scratch_);
 }
 
-double SynpaPolicy::solo_cost_uncached(int task_id) const {
+double SynpaPolicy::solo_cost(int task_id) const {
     if (opts_.objective == Objective::kTotalSlowdown)
         return estimator_.solo_weight(task_id);
     const std::array<int, 1> ids = {task_id};
@@ -150,52 +145,11 @@ double SynpaPolicy::solo_cost_uncached(int task_id) const {
     return objective_cost(opts_.objective, slowdown_scratch_);
 }
 
-double SynpaPolicy::group_cost_uncached(std::span<const int> task_ids) const {
+double SynpaPolicy::group_cost(std::span<const int> task_ids) const {
     if (opts_.objective == Objective::kTotalSlowdown)
         return estimator_.group_weight(task_ids);
     estimator_.member_slowdowns(task_ids, slowdown_scratch_);
     return objective_cost(opts_.objective, slowdown_scratch_);
-}
-
-double SynpaPolicy::pair_cost(int task_u, int task_v) const {
-    if (!opts_.weight_cache) return pair_cost_uncached(task_u, task_v);
-    cache_.sync_model_epoch(estimator_.model_epoch());
-    const std::uint64_t eu = estimator_.estimate_epoch(task_u);
-    const std::uint64_t ev = estimator_.estimate_epoch(task_v);
-    if (const double* hit = cache_.find_pair(task_u, eu, task_v, ev)) return *hit;
-    const double cost = pair_cost_uncached(task_u, task_v);
-    cache_.store_pair(task_u, eu, task_v, ev, cost);
-    return cost;
-}
-
-double SynpaPolicy::solo_cost(int task_id) const {
-    if (!opts_.weight_cache) return solo_cost_uncached(task_id);
-    cache_.sync_model_epoch(estimator_.model_epoch());
-    const std::uint64_t epoch = estimator_.estimate_epoch(task_id);
-    if (const double* hit = cache_.find_solo(task_id, epoch)) return *hit;
-    const double cost = solo_cost_uncached(task_id);
-    cache_.store_solo(task_id, epoch, cost);
-    return cost;
-}
-
-double SynpaPolicy::group_cost(std::span<const int> task_ids) const {
-    // Member order matters to the key: nonlinear objectives fold per-member
-    // slowdowns in member order, so permutations are distinct cache lines.
-    const std::size_t k = task_ids.size();
-    if (!opts_.weight_cache || k == 0 || k > WeightCache::kMaxGroup)
-        return group_cost_uncached(task_ids);
-    cache_.sync_model_epoch(estimator_.model_epoch());
-    WeightCache::GroupKey key;
-    key.fill(-1);
-    std::array<std::uint64_t, WeightCache::kMaxGroup> epochs{};
-    for (std::size_t i = 0; i < k; ++i) {
-        key[i] = task_ids[i];
-        epochs[i] = estimator_.estimate_epoch(task_ids[i]);
-    }
-    if (const double* hit = cache_.find_group(key, k, epochs)) return *hit;
-    const double cost = group_cost_uncached(task_ids);
-    cache_.store_group(key, k, epochs, cost);
-    return cost;
 }
 
 const matching::Matcher& SynpaPolicy::matcher() const {
@@ -242,9 +196,7 @@ void SynpaPolicy::trace_allocation(const sched::CoreAllocation& alloc) const {
         const sched::CoreGroup& g = alloc[c];
         if (g.empty()) continue;
         ++e.a;
-        // Uncached: the same bits (WeightCache's exactness contract) without
-        // a lookup, so tracing leaves the cache statistics it reports alone.
-        const double cost = group_cost_uncached(g.members());
+        const double cost = group_cost(g.members());
         total_cost += cost;
         e.detail += " c" + std::to_string(c) + "[";
         for (int i = 0; i < g.occupancy(); ++i) {
@@ -289,15 +241,13 @@ sched::CoreAllocation SynpaPolicy::reallocate(
         }
     }
 
-    // Prepare in chip order — the WeightCache sees the same lookup and
-    // store sequence as one serial pass, so its contents and statistics
-    // do not depend on the fork — then solve the chips that still need a
+    // Prepare in chip order, then solve the chips that still need a
     // matching, forked over the driver's chip shards when two or more do,
     // and place in chip order.
     int pending = 0;
-    for (std::size_t c = 0; c < chips.size(); ++c) {
-        prepare_chip(chips[c], static_cast<int>(c));
-        pending += chips[c].decided ? 0 : 1;
+    for (ChipSolve& chip : chips) {
+        prepare_chip(chip);
+        pending += chip.decided ? 0 : 1;
     }
     const auto solve = [&chips, this](int c) { solve_chip(chips[static_cast<std::size_t>(c)]); };
     if (pending >= 2 && chip_fork_) {
@@ -308,77 +258,18 @@ sched::CoreAllocation SynpaPolicy::reallocate(
 
     std::vector<sched::CoreAllocation> per_chip;
     per_chip.reserve(chips.size());
-    for (std::size_t c = 0; c < chips.size(); ++c)
-        per_chip.push_back(place_chip(chips[c], static_cast<int>(c)));
+    for (ChipSolve& chip : chips) per_chip.push_back(place_chip(chip));
     sched::CoreAllocation alloc = sched::concat_chip_allocations(per_chip, topo.cores_per_chip);
     trace_allocation(alloc);
-    publish_cache_metrics();
     return alloc;
 }
 
-void SynpaPolicy::publish_cache_metrics() const {
-    if (tracer_ == nullptr || !opts_.weight_cache) return;
-    const WeightCache::Stats& s = cache_.stats();
-    obs::MetricsRegistry& m = tracer_->metrics();
-    m.counter("weight_cache.hits").add(s.hits - published_.hits);
-    m.counter("weight_cache.misses").add(s.misses - published_.misses);
-    m.counter("weight_cache.solve_reuse").add(s.solve_reuse - published_.solve_reuse);
-    const std::uint64_t lookups = s.hits + s.misses;
-    // An all-clean quantum performs no lookups at all (the solve memo
-    // answers first); an empty denominator therefore means "everything
-    // reused", not "no data".
-    m.gauge("weight_cache.hit_rate")
-        .set(lookups == 0 ? 1.0 : static_cast<double>(s.hits) / static_cast<double>(lookups));
-    published_ = s;
-}
-
-void SynpaPolicy::prepare_chip(ChipSolve& work, int chip) {
+void SynpaPolicy::prepare_chip(ChipSolve& work) const {
     const std::span<const sched::TaskObservation> observations = work.observations;
     if (observations.empty()) {
         work.decided = true;
         return;
     }
-    if (opts_.weight_cache) {
-        cache_.sync_model_epoch(estimator_.model_epoch());
-
-        // Flatten everything the solve reads into one key: per task its
-        // id, incumbent core, co-runner list and estimate epoch, plus the
-        // chip shape and the model epoch.  place_groups/place_pairs consume
-        // only task_id + core; the hysteresis path reads corunner_task_id;
-        // all costs are functions of (estimates, objective) and the
-        // estimate epochs name the estimate values exactly.  A key match
-        // therefore certifies the solver would reproduce the memoized
-        // allocation bit for bit.
-        const auto encode = [](int v) {
-            return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
-        };
-        std::vector<std::uint64_t> key;
-        key.reserve(4 + observations.size() * 6);
-        key.push_back(observations.size());
-        key.push_back(encode(sched::observed_smt_ways(observations)));
-        key.push_back(sched::observed_total_cores(observations));
-        key.push_back(estimator_.model_epoch());
-        for (const auto& o : observations) {
-            key.push_back(encode(o.task_id));
-            key.push_back(encode(o.core));
-            key.push_back(encode(o.corunner_task_id));
-            key.push_back(o.corunner_task_ids.size());
-            for (const int partner : o.corunner_task_ids) key.push_back(encode(partner));
-            key.push_back(estimator_.estimate_epoch(o.task_id));
-        }
-
-        if (static_cast<std::size_t>(chip) >= solve_memo_.size())
-            solve_memo_.resize(static_cast<std::size_t>(chip) + 1);
-        const SolveMemo& memo = solve_memo_[static_cast<std::size_t>(chip)];
-        if (memo.valid && memo.key == key) {
-            ++cache_.stats().solve_reuse;
-            work.alloc = memo.alloc;
-            work.decided = true;
-            return;
-        }
-        work.memo_key = std::move(key);
-    }
-
     const std::size_t n = observations.size();
     const std::size_t total_cores = sched::observed_total_cores(observations);
     const int width = sched::observed_smt_ways(observations);
@@ -400,9 +291,9 @@ void SynpaPolicy::prepare_chip(ChipSolve& work, int chip) {
     // singletons score their "runs alone" weight), solved exactly for small
     // live sets and by deterministic local search beyond.  No hysteresis:
     // the width-2 near-tie oscillation this guards against is much rarer in
-    // the k-way cost surface, and place_groups still pins survivors.  The
-    // grouping oracle queries the WeightCache, so it stays in this serial
-    // step.
+    // the k-way cost surface, and place_groups still pins survivors.  Under
+    // the nonlinear objectives the grouping oracle writes the policy's
+    // slowdown scratch, so it stays in this serial step.
     if (width > 2) {
         std::vector<int> ids;
         ids.reserve(n);
@@ -475,7 +366,7 @@ void SynpaPolicy::solve_chip(ChipSolve& work) const {
     work.pairs = std::move(sel.pairs);
 }
 
-sched::CoreAllocation SynpaPolicy::place_chip(ChipSolve& work, int chip) {
+sched::CoreAllocation SynpaPolicy::place_chip(ChipSolve& work) const {
     const std::span<const sched::TaskObservation> observations = work.observations;
     const auto task_of = [&](int index) {
         return observations[static_cast<std::size_t>(index)].task_id;
@@ -494,25 +385,13 @@ sched::CoreAllocation SynpaPolicy::place_chip(ChipSolve& work, int chip) {
             work.alloc = sched::place_pairs(id_pairs, observations);
         }
     }
-    if (!work.memo_key.empty()) {
-        SolveMemo& memo = solve_memo_[static_cast<std::size_t>(chip)];
-        memo.key = std::move(work.memo_key);
-        memo.alloc = work.alloc;
-        memo.valid = true;
-    }
     return std::move(work.alloc);
 }
 
 void SynpaPolicy::on_task_replaced(int old_task_id, int new_task_id) {
-    // transfer() bumps both epochs, so cached costs involving either id
-    // recompute; the retired id's cache row is dropped outright.
     estimator_.transfer(old_task_id, new_task_id);
-    cache_.forget(old_task_id);
 }
 
-void SynpaPolicy::on_task_finished(int task_id) {
-    estimator_.forget(task_id);  // bumps the epoch
-    cache_.forget(task_id);
-}
+void SynpaPolicy::on_task_finished(int task_id) { estimator_.forget(task_id); }
 
 }  // namespace synpa::core

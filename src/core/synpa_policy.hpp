@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/estimator.hpp"
-#include "core/weight_cache.hpp"
 #include "matching/matching.hpp"
 #include "model/interference_model.hpp"
 #include "sched/policy.hpp"
@@ -31,10 +30,16 @@
 
 namespace synpa::core {
 
-/// The SYNPA_WEIGHT_CACHE default (on unless the knob says 0) — the
-/// incremental Step-2/Step-3 path; off runs the legacy full recompute.
-/// Read once per Options construction through common::env_int.
-bool weight_cache_default();
+/// Inert: the statistics of the removed Step-2 cost cache, kept only so
+/// code compiled against it still builds.  Every decide recomputes its
+/// costs (Equation 1 is cheaper than a lookup), so every count stays zero.
+struct WeightCache {
+    struct Stats {
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+        std::uint64_t solve_reuse = 0;
+    };
+};
 
 /// Pair-selection strategy for Step 3.
 enum class PairSelector {
@@ -83,13 +88,8 @@ public:
         /// task (sched/topology.hpp) — the policy-side counterpart of the
         /// platform's cross-chip warmup window.
         double cross_chip_penalty = sched::kDefaultCrossChipPenalty;
-        /// Incremental allocation (default from SYNPA_WEIGHT_CACHE, on):
-        /// Step-2 costs are memoized in a core::WeightCache keyed on the
-        /// estimator's per-task estimate epochs, and a whole chip's solve
-        /// is reused verbatim when nothing it depends on moved.  Results
-        /// are bit-identical to the legacy recompute (off) at every
-        /// SYNPA_SIM_THREADS / width / chip count.
-        bool weight_cache = weight_cache_default();
+        /// Inert: selects nothing (see WeightCache above).
+        bool weight_cache = true;
     };
 
     explicit SynpaPolicy(model::InterferenceModel model)
@@ -115,18 +115,8 @@ public:
     /// from a fresh inversion (phase-change reaction).
     void reset_estimate(int task_id);
 
-    /// Phase-change alarm hook (routed from online::AdaptiveSynpaPolicy's
-    /// PhaseDetector): bumps the task's estimate epoch so every cached
-    /// cost involving it recomputes next quantum.  The estimate value is
-    /// deliberately untouched — see the adaptive policy's alarm rationale —
-    /// so allocations are unchanged; only cache validity is.
-    void on_phase_alarm(int task_id);
-
-    /// Cumulative weight-cache statistics (all zero when the cache is
-    /// disabled): cost-lookup hits/misses plus whole-chip solve reuses.
-    const WeightCache::Stats& weight_cache_stats() const noexcept {
-        return cache_.stats();
-    }
+    /// Inert: always all zero (see WeightCache above).
+    const WeightCache::Stats& weight_cache_stats() const noexcept { return no_cache_; }
 
     /// Step 2+3 on an explicit weight matrix (exposed for tests/benches).
     std::vector<std::pair<int, int>> select_pairs(const matching::WeightMatrix& weights) const;
@@ -142,20 +132,18 @@ public:
 
 private:
     /// One chip's Steps 2+3, carried through reallocate's three steps:
-    /// prepare_chip (serial, chip order) reads the estimator and the
-    /// WeightCache, neither of which is thread-safe; solve_chip (forked
-    /// over the chip fork) is a pure function of the prepared inputs and
-    /// the const matcher; place_chip (serial, chip order) places the
-    /// solve and stores the chip's memo.
+    /// prepare_chip (serial, chip order) prices candidates through the
+    /// policy's shared slowdown scratch, which is not thread-safe;
+    /// solve_chip (forked over the chip fork) is a pure function of the
+    /// prepared inputs and the const matcher; place_chip (serial, chip
+    /// order) places the solve.
     struct ChipSolve {
         /// The chip's (possibly chip-localized) observations; `local` owns
         /// them on a multi-chip platform.
         std::span<const sched::TaskObservation> observations;
         std::vector<sched::TaskObservation> local;
-        /// Solve-memo key to store in place_chip (empty: nothing to store).
-        std::vector<std::uint64_t> memo_key;
-        /// Set when prepare already produced `alloc` (memo hit, empty chip,
-        /// width 1, or the SMT-4 grouping, whose oracle reads the cache).
+        /// Set when prepare already produced `alloc` (empty chip, width 1,
+        /// or the SMT-4 grouping, which stays serial).
         bool decided = false;
         sched::CoreAllocation alloc;
         /// Pair-solve inputs: Step-2 weights plus, under partial load
@@ -171,47 +159,21 @@ private:
         std::vector<int> singles;
     };
 
-    /// `chip` is the stable chip ordinal indexing the per-chip solve memo
-    /// (0 on a single-chip platform); when the cache is on and nothing the
-    /// solve depends on moved since the chip's last solve, the memoized
-    /// allocation is taken without rebuilding weights or re-solving.
-    void prepare_chip(ChipSolve& work, int chip);
+    void prepare_chip(ChipSolve& work) const;
     void solve_chip(ChipSolve& work) const;
-    sched::CoreAllocation place_chip(ChipSolve& work, int chip);
+    sched::CoreAllocation place_chip(ChipSolve& work) const;
 
     /// Emits a kAllocation event for the decided grouping (group membership
     /// and the predicted per-group costs).  The extra estimator passes run
-    /// only when the tracer wants allocation events, and bypass the
-    /// WeightCache so a traced run reports the untraced cache statistics.
+    /// only when the tracer wants allocation events.
     void trace_allocation(const sched::CoreAllocation& alloc) const;
-
-    /// Folds cumulative cache statistics into the tracer's metrics
-    /// registry (weight_cache.* counters + hit-rate gauge).
-    void publish_cache_metrics() const;
 
     /// Objective-folded candidate costs.  Under kTotalSlowdown these are
     /// exactly the estimator's pair/solo/group weights (the bit-exact
-    /// golden path); other objectives fold the per-member slowdowns.  The
-    /// public trio answers from the WeightCache when enabled — a hit
-    /// returns the same bits the *_uncached twin would recompute, because
-    /// entries are keyed on the estimate epochs of every contributing
-    /// task.
+    /// golden path); other objectives fold the per-member slowdowns.
     double pair_cost(int task_u, int task_v) const;
     double solo_cost(int task_id) const;
     double group_cost(std::span<const int> task_ids) const;
-    double pair_cost_uncached(int task_u, int task_v) const;
-    double solo_cost_uncached(int task_id) const;
-    double group_cost_uncached(std::span<const int> task_ids) const;
-
-    /// One chip's memoized solve: the key flattens every per-chip solve
-    /// input (task ids, incumbent cores, co-runner lists, estimate
-    /// epochs, width, core count, model epoch), so a key match certifies
-    /// the uncached solve would reproduce `alloc` bit for bit.
-    struct SolveMemo {
-        std::vector<std::uint64_t> key;
-        sched::CoreAllocation alloc;
-        bool valid = false;
-    };
 
     model::InterferenceModel model_;
     Options opts_;
@@ -220,11 +182,8 @@ private:
     matching::SubsetDpMatcher subset_dp_;
     obs::Tracer* tracer_ = nullptr;  ///< flight recorder (not owned)
     sched::ChipFork chip_fork_;      ///< driver's chip shards; empty = serial
-    mutable WeightCache cache_;      ///< bit-exact memo; mutable: caching is
-                                     ///< invisible to logical const-ness
     mutable std::vector<double> slowdown_scratch_;  ///< member_slowdowns reuse
-    std::vector<SolveMemo> solve_memo_;             ///< per chip ordinal
-    mutable WeightCache::Stats published_{};        ///< metrics high-water mark
+    WeightCache::Stats no_cache_{};                 ///< weight_cache_stats()
 };
 
 }  // namespace synpa::core

@@ -13,6 +13,14 @@
 // all admission/preemption serially on the coordinator thread between
 // quanta, which is what keeps fleet runs bit-identical at every
 // fleet-thread and SYNPA_SIM_THREADS count.
+//
+// Why scoring keeps its own estimator instead of reading the node policy's:
+// step() hands the scoring estimator the full observation batch *before*
+// retirement, while the node policy's estimator sees only the survivors.
+// A survivor whose co-runner retired this quantum therefore takes the exact
+// pairwise inversion in one estimator and the synthesized-partner path in
+// the other, so the two hold different estimates; sharing one would move
+// every fleet run's outcome (the fleet16-slo benchmark digest included).
 #pragma once
 
 #include <cstdint>

@@ -157,21 +157,6 @@ StabilizedSelection stabilized_min_weight(const WeightMatrix& weights,
                                           double stability_bias = 0.002,
                                           double keep_threshold = 0.001);
 
-/// Warm-started overload: when the caller certifies via `inputs_unchanged`
-/// that neither the weights nor the incumbent pairing moved since
-/// `previous` was computed (SYNPA's weight cache keys this on the estimate
-/// epochs), the previous selection is returned verbatim — the solvers are
-/// deterministic, so a re-solve would reproduce it bit for bit.  Otherwise
-/// falls through to the cold path above.  `previous` may be null (always
-/// cold).
-StabilizedSelection stabilized_min_weight(const WeightMatrix& weights,
-                                          const std::vector<std::pair<int, int>>& current,
-                                          const Matcher& matcher,
-                                          double stability_bias,
-                                          double keep_threshold,
-                                          const StabilizedSelection* previous,
-                                          bool inputs_unchanged);
-
 // ------------------------------------------------- k-way core grouping --
 
 /// A width-generic core assignment: every task index 0..n-1 appears in

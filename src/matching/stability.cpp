@@ -39,20 +39,4 @@ StabilizedSelection stabilized_min_weight(const WeightMatrix& weights,
     return out;
 }
 
-StabilizedSelection stabilized_min_weight(const WeightMatrix& weights,
-                                          const std::vector<std::pair<int, int>>& current,
-                                          const Matcher& matcher, double stability_bias,
-                                          double keep_threshold,
-                                          const StabilizedSelection* previous,
-                                          bool inputs_unchanged) {
-    // Every solver here is deterministic, so unchanged inputs certify that a
-    // re-solve would reproduce `previous` bit for bit — return it directly.
-    // The certificate is the caller's responsibility (SYNPA derives it from
-    // the weight cache's estimate epochs); a stale certificate would replay
-    // a stale matching, which is why this path demands both the flag and a
-    // concrete previous result.
-    if (previous != nullptr && inputs_unchanged) return *previous;
-    return stabilized_min_weight(weights, current, matcher, stability_bias, keep_threshold);
-}
-
 }  // namespace synpa::matching

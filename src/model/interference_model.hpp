@@ -72,7 +72,7 @@ private:
 /// buffers instead of allocating per call.  Every evaluation performs the
 /// exact floating-point operations of the InterferenceModel path in the
 /// same order, so results are bit-identical — the determinism contract the
-/// weight cache and the goldens rely on.  A FlatModel is a snapshot: it
+/// goldens rely on.  A FlatModel is a snapshot: it
 /// does not track later coefficient edits on the source model, so holders
 /// must rebuild it whenever they swap models (SynpaEstimator::set_model).
 class FlatModel {

@@ -92,11 +92,6 @@ sched::CoreAllocation AdaptiveSynpaPolicy::reallocate(
             // hard reset to the uniform prior destabilizes the matching
             // for longer than the EMA takes to converge.
             references_.erase(o.task_id);
-            // The weight cache must not coast on the stale phase, though:
-            // bump the task's estimate epoch so every memoized cost that
-            // involves it recomputes (estimate values are untouched, so
-            // allocations are bit-identical — only cache validity moves).
-            inner_.on_phase_alarm(o.task_id);
         }
     }
 

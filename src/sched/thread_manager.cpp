@@ -30,6 +30,14 @@ ThreadManager::ThreadManager(uarch::Platform& platform, AllocationPolicy& policy
     }
 }
 
+ThreadManager::~ThreadManager() {
+    for (const Slot& slot : slots_) {
+        const int id = slot.task->id();
+        if (platform_.is_bound(id)) platform_.unbind(id);
+        platform_.forget_task(id);
+    }
+}
+
 void ThreadManager::apply_allocation(const CoreAllocation& alloc) {
     // The closed system keeps every core at smt_ways threads, so partial
     // groups are rejected (require_full_groups).

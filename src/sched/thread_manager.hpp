@@ -96,6 +96,14 @@ public:
     ThreadManager(uarch::Platform& platform, AllocationPolicy& policy,
                   std::span<const TaskSpec> specs, Options opts);
 
+    /// Unbinds and forgets every slot's task: the platform must not keep
+    /// pointers into instances that die with the manager.  A finished run
+    /// leaves the platform full until then.  The platform must outlive the
+    /// manager.
+    ~ThreadManager();
+    ThreadManager(const ThreadManager&) = delete;
+    ThreadManager& operator=(const ThreadManager&) = delete;
+
     /// Executes the workload to completion; returns the measured result.
     RunResult run();
 

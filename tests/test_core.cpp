@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "core/estimator.hpp"
 #include "core/synpa_policy.hpp"
@@ -169,6 +170,69 @@ TEST(SynpaPolicyTest, OnTaskReplacedKeepsEstimatorContinuity) {
     SynpaPolicy policy(m);
     policy.on_task_replaced(1, 2);  // must not throw even for unseen ids
     SUCCEED();
+}
+
+// ------------------------------------------- mid-quantum partner retire --
+// Regression (hot-path fix): the pair-ownership guard `corunner < task =>
+// skip` used to run before the partner-presence check, so a surviving task
+// whose lower-id partner retired mid-quantum was silently skipped and got
+// no estimate update that quantum.  Ownership only applies when both
+// observations are present; a lone survivor must still be updated (against
+// a synthesized partner derived from the current estimates).
+
+TEST(EstimatorPartnerRetired, SurvivorWithLowerIdPartnerStillUpdates) {
+    SynpaEstimator est(model::InterferenceModel::paper_table4());
+    // Task 2 co-ran with task 1, but task 1 finished mid-quantum: its
+    // observation is absent from the batch.  Pre-fix this batch was a
+    // no-op for task 2.
+    est.observe(std::vector<sched::TaskObservation>{make_obs(2, 0, 1, {0.3, 0.5, 0.2})});
+    EXPECT_TRUE(est.has_estimate(2));
+}
+
+TEST(EstimatorPartnerRetired, SurvivorWithHigherIdPartnerStillUpdates) {
+    SynpaEstimator est(model::InterferenceModel::paper_table4());
+    est.observe(std::vector<sched::TaskObservation>{make_obs(1, 0, 2, {0.3, 0.5, 0.2})});
+    EXPECT_TRUE(est.has_estimate(1));
+}
+
+TEST(EstimatorPartnerRetired, PresentPairsStillHandledOnce) {
+    // The ownership guard must keep deduplicating complete pairs: both
+    // members present => exactly one inversion, both sides updated.
+    SynpaEstimator est(model::InterferenceModel::paper_table4());
+    est.observe(std::vector<sched::TaskObservation>{
+        make_obs(1, 0, 2, {0.3, 0.5, 0.2}), make_obs(2, 0, 1, {0.15, 0.05, 0.8})});
+    EXPECT_TRUE(est.has_estimate(1));
+    EXPECT_TRUE(est.has_estimate(2));
+}
+
+// -------------------------------------------------- odd-n greedy matching --
+// Regression (hot-path fix): the greedy matcher used to pair floor(n/2)
+// vertices and silently drop the last one on odd n, violating the module's
+// "every solver throws on odd n" contract the partial allocator depends on
+// (it pads to even *before* solving precisely because no perfect matching
+// exists otherwise).
+
+TEST(GreedyMatcher, ThrowsOnOddVertexCount) {
+    SynpaPolicy::Options opts;
+    opts.selector = PairSelector::kGreedy;
+    const SynpaPolicy policy(model::InterferenceModel::paper_table4(), opts);
+    matching::WeightMatrix odd(3, 1.0);
+    EXPECT_THROW(policy.matcher().min_weight_perfect(odd), std::invalid_argument);
+    EXPECT_THROW(policy.matcher().max_weight_perfect(odd), std::invalid_argument);
+    matching::WeightMatrix empty(0);
+    EXPECT_THROW(policy.matcher().min_weight_perfect(empty), std::invalid_argument);
+}
+
+TEST(GreedyMatcher, EvenInstancesStillSolve) {
+    SynpaPolicy::Options opts;
+    opts.selector = PairSelector::kGreedy;
+    const SynpaPolicy policy(model::InterferenceModel::paper_table4(), opts);
+    matching::WeightMatrix w(4, 5.0);
+    w.set(0, 1, 1.0);
+    w.set(2, 3, 1.0);
+    const matching::MatchingResult r = policy.matcher().min_weight_perfect(w);
+    EXPECT_EQ(r.pairs.size(), 2u);
+    EXPECT_NEAR(r.total_weight, 2.0, 1e-12);
 }
 
 }  // namespace

@@ -7,10 +7,9 @@
 //    4, and identical to the same policy run with no fork installed, under
 //    both load shapes — partial (n < 2 * cores, dummy-padded solves) and
 //    full (the hysteresis solve);
-//  * policy-level quanta that hit the whole-chip solve memo, skip a chip,
-//    or fork every chip give the same allocations and the same WeightCache
-//    statistics with and without a fork (simulated counters move every
-//    estimate every quantum, so memo hits need synthetic observations);
+//  * policy-level quanta (a repeated quantum, a replaced task, a full
+//    load) fork every chip and give the same allocations with and without
+//    a fork, whichever chip runs first;
 //  * SMT-4 (the grouping path, which stays serial) is unchanged too.
 //
 // The CI thread-sanitizer job runs this binary: the forked solves must
@@ -164,8 +163,8 @@ TEST(DecideFork, OpenScenarioIsBitIdenticalAcrossShardsAndWithoutTheFork) {
 }
 
 TEST(DecideFork, Smt4GroupingStaysSerialAndIdentical) {
-    // Width 4 groups inside prepare (the grouping oracle reads the
-    // WeightCache), so nothing forks — and nothing changes.
+    // Width 4 groups inside the serial prepare step, so nothing forks —
+    // and nothing changes.
     for (const bool full : {false, true}) {
         const OpenRun unforked = run_open(4, full, 1, /*forward_fork=*/false);
         for (const int threads : {1, 2, 4}) {
@@ -179,16 +178,14 @@ TEST(DecideFork, Smt4GroupingStaysSerialAndIdentical) {
 
 // ------------------------------------------------------- policy level --
 
-/// Exactly representable fractions: solo observations reach the
-/// estimator's fixed point on their first quantum, so repeating a quantum
-/// leaves every memo key unchanged.
+/// Exactly representable fractions, one per task id modulo the list.
 const std::vector<model::CategoryVector> kFractions = {
     {0.25, 0.25, 0.5}, {0.5, 0.25, 0.25}, {0.25, 0.5, 0.25}, {0.125, 0.375, 0.5},
     {0.375, 0.125, 0.5}, {0.5, 0.375, 0.125}};
 
 /// One task per entry of `ids` on a 4-chip x 4-core SMT-2 platform,
 /// `per_chip` consecutive tasks per chip, two per core — already balanced,
-/// so a changed task moves only its own chip's memo key.  Every task is
+/// so a changed task moves only its own chip's inputs.  Every task is
 /// observed without a co-runner.
 std::vector<sched::TaskObservation> chip4_observations(const std::vector<int>& ids,
                                                        std::size_t per_chip) {
@@ -218,17 +215,16 @@ std::vector<int> id_range(int first, int count) {
 }
 
 /// What one policy decided over a fixed quantum sequence: every
-/// allocation plus the WeightCache statistics after each quantum.
+/// allocation plus the fork calls so far after each quantum.
 struct PolicyTrace {
     std::vector<sched::CoreAllocation> allocations;
-    std::vector<std::uint64_t> stats;  ///< hits, misses, solve_reuse per quantum
-    std::vector<int> forks;            ///< fork calls so far, per quantum
+    std::vector<int> forks;
 };
 
-/// Quanta: a partial load (24 of 32 contexts), the same quantum again
-/// (every chip hits its solve memo: nothing to fork), one chip-0 task
-/// replaced (a single chip solves: still nothing to fork), then a full
-/// load on fresh ids (every chip solves the full-load matching).
+/// Quanta: a partial load (24 of 32 contexts), the same quantum again, one
+/// chip-0 task replaced, then a full load on fresh ids (every chip solves
+/// the full-load matching).  Every chip solves every quantum, so each
+/// quantum forks once.
 /// `install` attaches a fork to the policy (or none) before the run.
 PolicyTrace run_policy(const std::function<void(core::SynpaPolicy&, int&)>& install) {
     std::vector<int> replaced = id_range(1, 24);
@@ -243,8 +239,6 @@ PolicyTrace run_policy(const std::function<void(core::SynpaPolicy&, int&)>& inst
     for (std::size_t q = 0; q < quanta.size(); ++q) {
         if (q == 2) policy.on_task_finished(6);
         trace.allocations.push_back(policy.reallocate(quanta[q]));
-        const core::WeightCache::Stats& st = policy.weight_cache_stats();
-        trace.stats.insert(trace.stats.end(), {st.hits, st.misses, st.solve_reuse});
         trace.forks.push_back(forks);
     }
     return trace;
@@ -258,12 +252,9 @@ sched::ChipFork counted(sched::ChipFork fork, int& forks) {
     };
 }
 
-TEST(DecideFork, MemoHitsSkipsAndForksMatchTheSerialPolicy) {
+TEST(DecideFork, ForkedQuantaMatchTheSerialPolicy) {
     const PolicyTrace serial = run_policy([](core::SynpaPolicy&, int&) {});
-    // 4 chips reuse their memo on the repeated quantum, 3 on the next.
-    ASSERT_EQ(serial.stats.size(), 12u);
-    EXPECT_EQ(serial.stats[3 * 1 + 2], 4u);
-    EXPECT_EQ(serial.stats[3 * 2 + 2], 7u);
+    ASSERT_EQ(serial.allocations.size(), 4u);
 
     // The platform's chip shards at every SYNPA_SIM_THREADS.
     for (const int threads : {1, 2, 4}) {
@@ -276,8 +267,7 @@ TEST(DecideFork, MemoHitsSkipsAndForksMatchTheSerialPolicy) {
                 forks));
         });
         EXPECT_EQ(forked.allocations, serial.allocations) << "sim_threads=" << threads;
-        EXPECT_EQ(forked.stats, serial.stats) << "sim_threads=" << threads;
-        EXPECT_EQ(forked.forks, (std::vector<int>{1, 1, 1, 2})) << "sim_threads=" << threads;
+        EXPECT_EQ(forked.forks, (std::vector<int>{1, 2, 3, 4})) << "sim_threads=" << threads;
     }
 
     // One std::thread per chip, launched in reverse chip order: the forked
@@ -292,8 +282,7 @@ TEST(DecideFork, MemoHitsSkipsAndForksMatchTheSerialPolicy) {
             forks));
     });
     EXPECT_EQ(reversed.allocations, serial.allocations);
-    EXPECT_EQ(reversed.stats, serial.stats);
-    EXPECT_EQ(reversed.forks, (std::vector<int>{1, 1, 1, 2}));
+    EXPECT_EQ(reversed.forks, (std::vector<int>{1, 2, 3, 4}));
 }
 
 TEST(DecideFork, GuardDetachesAndForeignChipCountsRunSerially) {

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -602,6 +603,133 @@ TEST(Grouping, RejectsInfeasibleInstances) {
     const GroupingResult empty = min_weight_grouping(0, 4, 2, unit);
     EXPECT_TRUE(empty.groups.empty());
     EXPECT_DOUBLE_EQ(empty.total_weight, 0.0);
+}
+
+// ------------------------------------------------- warm-started grouping --
+
+namespace grouping_helpers {
+
+double synthetic_pair_weight(int u, int v) {
+    return static_cast<double>((u * 31 + v * 17 + u * v) % 97) / 97.0 + 0.5;
+}
+
+/// Deterministic synthetic group cost with real pairwise structure, plus a
+/// call counter so tests can meter the oracle.
+GroupCost counting_cost(std::size_t& calls) {
+    return [&calls](std::span<const int> g) {
+        ++calls;
+        double total = 0.0;
+        for (std::size_t i = 0; i < g.size(); ++i)
+            for (std::size_t j = i + 1; j < g.size(); ++j)
+                total += synthetic_pair_weight(g[i], g[j]);
+        return total + static_cast<double>(g.size());
+    };
+}
+
+void expect_valid_partition(const GroupingResult& r, std::size_t n,
+                            std::size_t cores, std::size_t width) {
+    std::set<int> seen;
+    EXPECT_LE(r.groups.size(), cores);
+    for (const auto& g : r.groups) {
+        EXPECT_GE(g.size(), 1u);
+        EXPECT_LE(g.size(), width);
+        for (const int id : g) EXPECT_TRUE(seen.insert(id).second);
+    }
+    EXPECT_EQ(seen.size(), n);
+}
+
+}  // namespace grouping_helpers
+
+TEST(WarmGrouping, EmptyIncumbentReproducesColdBitForBit) {
+    using namespace grouping_helpers;
+    constexpr std::size_t n = 40, cores = 16, width = 4;
+    std::size_t cold_calls = 0, warm_calls = 0;
+    const GroupingResult cold =
+        min_weight_grouping_heuristic(n, cores, width, counting_cost(cold_calls));
+    const GroupingResult warm = min_weight_grouping_heuristic(
+        n, cores, width, counting_cost(warm_calls), {});
+    EXPECT_EQ(cold.groups, warm.groups);
+    EXPECT_EQ(cold.total_weight, warm.total_weight);  // bitwise
+    EXPECT_EQ(cold_calls, warm_calls);
+}
+
+TEST(WarmGrouping, UnchangedIncumbentResolvesAlmostForFree) {
+    using namespace grouping_helpers;
+    constexpr std::size_t n = 64, cores = 32, width = 4;
+    std::size_t cold_calls = 0;
+    const GroupingResult cold =
+        min_weight_grouping(n, cores, width, counting_cost(cold_calls));
+
+    // Re-solve the identical instance seeded from its own solution: every
+    // bucket seeds clean, so the only oracle traffic is one cost per
+    // non-empty bucket.
+    std::size_t warm_calls = 0;
+    const GroupingResult warm = min_weight_grouping(
+        n, cores, width, counting_cost(warm_calls), cold.groups);
+    EXPECT_EQ(warm.groups, cold.groups);
+    EXPECT_EQ(warm.total_weight, cold.total_weight);  // bitwise
+    EXPECT_LE(warm_calls, cold.groups.size());
+    EXPECT_GE(cold_calls, 20 * warm_calls);  // the whole point
+}
+
+TEST(WarmGrouping, SingleArrivalCostsNearDirtySet) {
+    using namespace grouping_helpers;
+    constexpr std::size_t n = 64, cores = 32, width = 4;
+    std::size_t cold_calls = 0;
+    const GroupingResult cold =
+        min_weight_grouping(n, cores, width, counting_cost(cold_calls));
+
+    // One arrival: task n is new, the incumbent covers 0..n-1.  The warm
+    // re-solve must produce a valid partition at >= 5x fewer oracle calls
+    // than a cold solve of the same instance (the same ratio the grouping
+    // rows of bench_matching show at n = 512).
+    std::size_t cold_np1 = 0, warm_np1 = 0;
+    const GroupingResult cold_next =
+        min_weight_grouping(n + 1, cores, width, counting_cost(cold_np1));
+    const GroupingResult warm_next = min_weight_grouping(
+        n + 1, cores, width, counting_cost(warm_np1), cold.groups);
+    expect_valid_partition(cold_next, n + 1, cores, width);
+    expect_valid_partition(warm_next, n + 1, cores, width);
+    EXPECT_GE(cold_np1, 5 * warm_np1);
+}
+
+TEST(WarmGrouping, StaleIncumbentIdsAreTolerated) {
+    using namespace grouping_helpers;
+    constexpr std::size_t n = 20, cores = 8, width = 4;
+    // Incumbent full of garbage: out-of-range ids, duplicates, an overfull
+    // group.  Everything falls through to greedy seeding; the result must
+    // still be a valid partition.
+    const std::vector<std::vector<int>> stale = {
+        {99, -3, 0, 0, 1, 2, 3, 4, 5}, {7, 7}, {1000}};
+    std::size_t calls = 0;
+    const GroupingResult warm = min_weight_grouping_heuristic(
+        n, cores, width, counting_cost(calls), stale);
+    expect_valid_partition(warm, n, cores, width);
+}
+
+// Regression (hot-path fix): the heuristic's final assembly used to call
+// the GroupCost oracle once per final group to rebuild total_weight, even
+// though every final bucket's cost was already cached.  At width 1 the
+// whole solve is exactly countable: seeding tries every empty bucket
+// (n + n-1 + ... + 1 calls), one local-search pass evaluates every ordered
+// (a, b) swap (2 calls each; the empty donor side is free), and assembly
+// must add ZERO — pre-fix it added n.
+TEST(WarmGrouping, AssemblyAddsNoOracleCalls) {
+    constexpr std::size_t n = 8;
+    std::size_t calls = 0;
+    const GroupCost cost = [&calls](std::span<const int> g) {
+        ++calls;
+        double total = 0.0;
+        for (const int id : g) total += static_cast<double>(id + 1);
+        return total;
+    };
+    const GroupingResult r =
+        min_weight_grouping_heuristic(n, n, 1, cost);
+    EXPECT_EQ(r.groups.size(), n);
+    EXPECT_EQ(r.total_weight, static_cast<double>(n * (n + 1) / 2));
+    const std::size_t seeding = n * (n + 1) / 2;
+    const std::size_t search = 2 * n * (n - 1);
+    EXPECT_EQ(calls, seeding + search);  // pre-fix: + n assembly calls
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Flight-recorder observability contracts (src/obs):
 //
 //  1. Determinism — a traced run is bit-identical to an untraced run (same
-//     RunResult / ScenarioResult signatures) for SMT widths {2, 4}, chips
-//     {1, 4}, and SYNPA_SIM_THREADS {1, 4}: tracing only reads simulated
-//     state, wall-clock never feeds back.
+//     RunResult / ScenarioResult signatures) for SMT widths {2, 4} (open
+//     scenarios {1, 2, 4}), chips {1, 4}, and SYNPA_SIM_THREADS {1, 4}:
+//     tracing only reads simulated state, wall-clock never feeds back.
 //  2. Structure — traced runs carry the expected event stream (quantum
 //     boundaries, admissions, retirements, allocations, migrations) with
 //     monotone quantum stamps, and the event mask filters per kind.
@@ -155,7 +155,11 @@ TEST(MetricsRegistry, InstrumentsKeepIdentityAcrossLookups) {
     obs::Counter& c = reg.counter("quanta");
     c.add(3);
     // Registering more instruments must not invalidate the reference.
-    for (int i = 0; i < 100; ++i) reg.counter("c" + std::to_string(i));
+    for (int i = 0; i < 100; ++i) {
+        std::string name = "c";
+        name += std::to_string(i);
+        reg.counter(name);
+    }
     obs::Counter& again = reg.counter("quanta");
     EXPECT_EQ(&again, &c);
     EXPECT_EQ(again.value(), 3u);
@@ -244,10 +248,12 @@ std::string signature(const sched::RunResult& r) {
                       std::to_string(r.migrations) + "/" +
                       std::to_string(r.cross_chip_migrations) + "/" +
                       std::to_string(bits(r.turnaround_quanta));
-    for (const sched::TaskOutcome& out : r.outcomes)
-        sig += ";" + std::to_string(out.slot_index) + ":" +
+    for (const sched::TaskOutcome& out : r.outcomes) {
+        sig += ';';
+        sig += std::to_string(out.slot_index) + ":" +
                std::to_string(bits(out.finish_quantum)) + ":" +
                std::to_string(bits(out.ipc_smt)) + ":" + std::to_string(out.final_core);
+    }
     return sig;
 }
 
@@ -256,11 +262,12 @@ std::string signature(const scenario::ScenarioResult& r) {
                       std::to_string(r.migrations) + "/" +
                       std::to_string(r.cross_chip_migrations) + "/" +
                       std::to_string(r.completed_tasks);
-    for (const scenario::TaskRecord& rec : r.tasks)
-        sig += ";" + std::to_string(rec.task_id) + ":" +
-               std::to_string(rec.admit_quantum) + ":" +
+    for (const scenario::TaskRecord& rec : r.tasks) {
+        sig += ';';
+        sig += std::to_string(rec.task_id) + ":" + std::to_string(rec.admit_quantum) + ":" +
                std::to_string(bits(rec.finish_quantum)) + ":" +
                std::to_string(bits(rec.slowdown)) + ":" + std::to_string(rec.chip_id);
+    }
     return sig;
 }
 
@@ -311,7 +318,7 @@ scenario::ScenarioSpec open_spec(int initial_tasks = 8) {
 }
 
 TEST(TracedDeterminism, OpenScenarioMatchesUntracedAtEveryShape) {
-    for (const int smt_ways : {2, 4}) {
+    for (const int smt_ways : {1, 2, 4}) {
         for (const int chips : {1, 4}) {
             const uarch::SimConfig base = shape_config(chips, smt_ways, 1);
             const scenario::ScenarioTrace trace = scenario::build_trace(open_spec(), base);
@@ -379,17 +386,14 @@ TEST(TracerLifetime, ClosedRunDetachesWhenItEnds) {
     const auto policy = sched::make_policy("synpa", policy_config());
     const auto specs = closed_specs(platform.hw_contexts());
     obs::Tracer tracer(memory_trace_config());
-    sched::ThreadManager traced(platform, *policy, specs,
-                                {.max_quanta = 400, .record_traces = false, .tracer = &tracer});
-    traced.run();
+    {
+        sched::ThreadManager traced(
+            platform, *policy, specs,
+            {.max_quanta = 400, .record_traces = false, .tracer = &tracer});
+        traced.run();
+    }
     const std::uint64_t seen = events_seen(tracer);
     ASSERT_GT(seen, 0u);
-    // A closed run leaves the platform full; clear it (while the first
-    // manager still owns the instances) so the second run can place.
-    for (const apps::AppInstance* task : platform.bound_tasks()) {
-        platform.unbind(task->id());
-        platform.forget_task(task->id());
-    }
 
     sched::ThreadManager untraced(platform, *policy, specs,
                                   {.max_quanta = 400, .record_traces = false});
@@ -430,7 +434,9 @@ TEST(TraceEvents, ClosedRunEmitsExpectedKindsWithMonotoneQuanta) {
         const obs::TraceEvent& e = tracer.events().at(i);
         counts[static_cast<std::size_t>(e.kind)]++;
         if (e.kind == obs::EventKind::kQuantumBegin) {
-            if (!first_begin) EXPECT_GT(e.quantum, last_begin);
+            if (!first_begin) {
+                EXPECT_GT(e.quantum, last_begin);
+            }
             last_begin = e.quantum;
             first_begin = false;
         }

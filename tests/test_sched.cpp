@@ -322,6 +322,24 @@ TEST(ThreadManager, RelaunchKeepsLoadConstant) {
     EXPECT_DOUBLE_EQ(r.turnaround_quanta, mcf_finish);
 }
 
+TEST(ThreadManager, ManagersRunBackToBackOnOnePlatform) {
+    // A manager's tasks die with it, so it must take them off the platform:
+    // a second manager on the same platform then finds every slot free.
+    uarch::Platform platform(manager_config());
+    LinuxPolicy policy;
+    const auto specs = small_workload(10'000);
+    {
+        ThreadManager first(platform, policy, specs);
+        EXPECT_TRUE(first.run().completed);
+        EXPECT_EQ(platform.bound_tasks().size(), 4u);
+    }
+    EXPECT_TRUE(platform.bound_tasks().empty());
+    ThreadManager second(platform, policy, specs);
+    const RunResult r = second.run();
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.outcomes.size(), 4u);
+}
+
 TEST(ThreadManager, SafetyCapReportsIncomplete) {
     uarch::Platform platform(manager_config());
     LinuxPolicy policy;
